@@ -40,13 +40,11 @@ from .funcclass import (
 from .scenarios import (
     KernelScenario,
     SeriesScenario,
-    build_kernel_class,
-    build_series_class,
+    design,
     design_kernel,
     design_series,
     kernel_density_scenario,
     rate_experiment,
-    series_linear_statistic,
     series_mean_scenario,
     xi_n,
 )

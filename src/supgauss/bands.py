@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import KernelScenario, design_kernel
+from .scenarios import design, design_kernel  # noqa: F401  (the benchmark tracer patches bands.design_kernel)
 from .simulate import RngPolicy, SupSample, gaussian_sup_sample, sup_quantile
 
 
@@ -83,7 +83,7 @@ def build_band(estimate, sigma_n, c_alpha: float, side: str = "two_sided", x_gri
 
 
 def coverage_experiment(
-    scenario: KernelScenario,
+    scenario,
     alpha: float,
     n: int,
     R_outer: int,
@@ -96,11 +96,13 @@ def coverage_experiment(
 ):
     """Coverage of the Gaussian-calibrated band over R_outer data replications.
 
-    The critical value comes from R_inner draws of the exact Gaussian
-    analogue (covariance by quadrature, shared across replications).  The
-    ``exact_centered`` target is E[S_n(x)], which removes bias entirely so
-    coverage error isolates the Gaussian approximation of the supremum;
-    ``true_function`` covers an explicitly supplied curve instead.
+    ``scenario`` is a kernel or series scenario whose design is studentized
+    (unit variance at every column).  The critical value comes from R_inner
+    draws of the exact Gaussian analogue (covariance by quadrature, shared
+    across replications).  The ``exact_centered`` target is E[S_n(x)], which
+    removes bias entirely so coverage error isolates the Gaussian
+    approximation of the supremum; ``true_function`` covers an explicitly
+    supplied curve instead.
 
     Returns (CoverageReport, BandResult) with the band from replication 0.
     """
@@ -110,33 +112,33 @@ def coverage_experiment(
         raise ValueError("unknown coverage target")
     if target == "true_function" and true_function is None:
         raise ValueError("true_function target requires an evaluable truth")
-    if scenario.normalization != "studentized":
+    d = design(scenario, n)
+    if not np.allclose(np.diag(d.cov.sigma), 1.0):
         raise ValueError("coverage experiments require a studentized scenario")
-    design = design_kernel(scenario, n)
     inner_rng = rng.with_salt(rng.salt + 101)
     gauss = gaussian_sup_sample(
-        design.cov, R_inner, inner_rng, absolute=(side == "two_sided"),
+        d.cov, R_inner, inner_rng, absolute=(side == "two_sided"),
         statistic_id="band_gauss", threads=threads,
     )
     c_alpha = critical_value(gauss, alpha)
 
-    est_mean = design.estimator_mean
-    sigma_n = design.sigma_hat_sd
+    est_mean = d.estimator_mean
+    sigma_n = d.sigma_hat_sd
     if target == "exact_centered":
         target_vals = est_mean
     else:
-        target_vals = np.asarray(true_function(np.asarray(scenario.x_grid)), dtype=float)
+        target_vals = np.asarray(true_function(d.index_grid), dtype=float)
     root_n = math.sqrt(n)
-    sampler = scenario.family.sample
 
     hits = 0
     band0 = None
+    # serial on purpose: kernel column sums hold the GIL, so threads would only add overhead
     for r in range(R_outer):
-        batch = sampler(rng.stream_of(r), n)
-        # studentized deviations: (S_hat - E S_hat) / sd(S_hat) per grid point
-        dev = design.cls.evaluate(batch).sum(axis=0) / root_n
+        batch = d.sampler(rng.stream_of(r), n)
+        # studentized deviations: (S_hat - E S_hat) / sd(S_hat) per column
+        dev = d.cls.sum_columns(batch) / root_n
         estimate = est_mean + sigma_n * dev
-        band = build_band(estimate, sigma_n, c_alpha, side=side, x_grid=scenario.x_grid, alpha=alpha)
+        band = build_band(estimate, sigma_n, c_alpha, side=side, x_grid=d.index_grid, alpha=alpha)
         if band.contains(target_vals):
             hits += 1
         if r == 0:

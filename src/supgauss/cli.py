@@ -33,6 +33,9 @@ SUBCOMMANDS = (
     "anticoncentration",
 )
 
+# per scenario type: (grid_lo, grid_hi) defaults
+GRID_DEFAULTS = {"kernel_density": (0.1, 0.9), "series_mean": (0.0, 1.0), "series_quantile": (0.0, 1.0)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -113,6 +116,9 @@ def validate(config_text: str):
             err("params.n_list", "every n must be an integer >= 3 (the coupling constructions assume n >= 3)")
         elif any(b <= a for a, b in zip(ns, ns[1:])):
             err("params.n_list", "n_list must be strictly increasing")
+    for key in ("replications", "R_outer", "R_inner"):
+        if key in params and (not isinstance(params[key], int) or params[key] < 1):
+            err(f"params.{key}", f"{key} must be a positive integer")
     if "alpha" in params:
         a = params["alpha"]
         if not isinstance(a, (int, float)) or not 0 < a < 1:
@@ -124,14 +130,8 @@ def validate(config_text: str):
     if "sigma" in moments and "b" in moments and moments["sigma"] > moments["b"]:
         err("params.moments.sigma", "sigma cannot exceed the envelope scale b")
     if scenario:
-        stype = scenario.get("type")
-        if stype not in ("kernel_density", "series_mean", "series_quantile"):
-            err("scenario.type", f"unknown scenario type {stype!r}")
-        for bound_key in ("grid_lo", "grid_hi"):
-            if bound_key in scenario and not isinstance(scenario[bound_key], (int, float)):
-                err(f"scenario.{bound_key}", "grid bounds must be numbers")
-        if "grid_points" in scenario and (not isinstance(scenario["grid_points"], int) or scenario["grid_points"] < 1):
-            err("scenario.grid_points", "grid_points must be a positive integer")
+        for path, message in _scenario_problems(scenario, sub):
+            err(path, message)
 
     if errors:
         return None, errors
@@ -148,16 +148,59 @@ def validate(config_text: str):
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
+    """Cross-field checks of a scenario spec, as (path, message) pairs."""
+    stype = scenario.get("type")
+    if stype not in GRID_DEFAULTS:
+        return [("scenario.type", f"unknown scenario type {stype!r}")]
+    problems = []
+    known = {"data_law": scn_mod.DATA_LAWS, "kernel": scn_mod.KERNELS, "basis": scn_mod.BASES,
+             "normalization": ("unit", "studentized")}
+    for key, names in known.items():
+        if key in scenario and (not isinstance(scenario[key], str) or scenario[key] not in names):
+            problems.append((f"scenario.{key}", f"unknown {key} {scenario[key]!r}; expected one of {', '.join(names)}"))
+    if sub == "bands" and scenario.get("normalization") == "unit":
+        problems.append(("scenario.normalization", "bands need a studentized scenario"))
+    for key in ("bandwidth_scale", "k_scale"):
+        if key in scenario and not (_is_number(scenario[key]) and scenario[key] > 0):
+            problems.append((f"scenario.{key}", f"{key} must be a positive number"))
+    if "grid_points" in scenario and (not isinstance(scenario["grid_points"], int) or scenario["grid_points"] < 1):
+        problems.append(("scenario.grid_points", "grid_points must be a positive integer"))
+    taus = scenario.get("tau_grid", [0.5])
+    if not isinstance(taus, list) or not taus or not all(_is_number(t) and 0 < t < 1 for t in taus):
+        problems.append(("scenario.tau_grid", "tau_grid must be a nonempty list of levels strictly between 0 and 1"))
+    law_params = scenario.get("law_params", {})
+    if not (isinstance(law_params, dict) and all(_is_number(v) for v in law_params.values())):
+        problems.append(("scenario.law_params", "law_params must be an object of numbers"))
+    elif min(law_params.get(key, 1.0) for key in ("a", "b", "sd")) <= 0:
+        problems.append(("scenario.law_params", "the law parameters a, b and sd must be positive"))
+    lo, hi = (scenario.get(key, default) for key, default in zip(("grid_lo", "grid_hi"), GRID_DEFAULTS[stype]))
+    if not (_is_number(lo) and _is_number(hi) and lo < hi):
+        problems.append(("scenario.grid_lo", "grid_lo and grid_hi must be numbers with grid_lo < grid_hi"))
+    if problems:
+        return problems
+    law = scenario.get("data_law", "beta") if stype == "kernel_density" else "uniform"  # series data are U(0, 1)
+    support = scn_mod.DATA_LAWS[law](**law_params).support
+    if lo < support[0] or hi > support[1]:
+        problems.append(("scenario.grid_lo", f"the grid [{lo}, {hi}] must lie inside the data support {list(support)}"))
+    return problems
+
+
 def scenario_from_config(spec: dict):
     stype = spec.get("type", "kernel_density")
+    grid_lo, grid_hi = GRID_DEFAULTS.get(stype, (None, None))
     if stype == "kernel_density":
         return scn_mod.kernel_density_scenario(
             data_law=spec.get("data_law", "beta"),
             law_params=spec.get("law_params"),
             kernel=spec.get("kernel", "epanechnikov"),
             grid_points=spec.get("grid_points", 64),
-            grid_lo=spec.get("grid_lo", 0.1),
-            grid_hi=spec.get("grid_hi", 0.9),
+            grid_lo=spec.get("grid_lo", grid_lo),
+            grid_hi=spec.get("grid_hi", grid_hi),
             bandwidth_power=spec.get("bandwidth_power", 0.2),
             bandwidth_scale=spec.get("bandwidth_scale", 1.0),
             normalization=spec.get("normalization", "studentized"),
@@ -168,8 +211,8 @@ def scenario_from_config(spec: dict):
             k_power=spec.get("k_power", 1.0 / 3.0),
             k_scale=spec.get("k_scale", 1.0),
             grid_points=spec.get("grid_points", 64),
-            grid_lo=spec.get("grid_lo", 0.0),
-            grid_hi=spec.get("grid_hi", 1.0),
+            grid_lo=spec.get("grid_lo", grid_lo),
+            grid_hi=spec.get("grid_hi", grid_hi),
         )
     if stype == "series_quantile":
         return scn_mod.SeriesScenario(
@@ -177,7 +220,7 @@ def scenario_from_config(spec: dict):
             K_rule=lambda n, p=spec.get("k_power", 1.0 / 3.0), s=spec.get("k_scale", 1.0): max(
                 1, math.ceil(s * float(n) ** p)
             ),
-            x_grid=np.linspace(spec.get("grid_lo", 0.0), spec.get("grid_hi", 1.0), spec.get("grid_points", 16)),
+            x_grid=np.linspace(spec.get("grid_lo", grid_lo), spec.get("grid_hi", grid_hi), spec.get("grid_points", 16)),
             noise_model="quantile",
             tau_grid=np.asarray(spec.get("tau_grid", [0.25, 0.5, 0.75])),
         )
@@ -471,8 +514,7 @@ def _run_anticoncentration(cfg: RunConfig, outdir: Path) -> tuple[list[str], boo
     n = int(p.get("n", 2000))
     R = int(p.get("replications", 100_000))
     eps_list = [float(e) for e in p.get("epsilons", [0.01, 0.02, 0.05, 0.1, 0.2])]
-    design = scn_mod.design_kernel(scenario, n)
-    gauss = gaussian_sup_sample(design.cov, R, RngPolicy(cfg.seed), threads=cfg.threads)
+    gauss = gaussian_sup_sample(scn_mod.design(scenario, n).cov, R, RngPolicy(cfg.seed), threads=cfg.threads)
     mean = float(gauss.values.mean())
     rows = []
     ok = True

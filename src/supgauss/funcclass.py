@@ -58,10 +58,9 @@ class DiscretizedClass:
     size: int
     centered: bool = False
     vc_meta: tuple[float, float] | None = None  # (A, v)
-    moment_meta: tuple[float, float, float] | None = None  # (b, sigma, q)
     # optional fast path: column_sums(batch) == evaluate(batch).sum(axis=0)
-    # up to float reassociation; used by the replication loop to avoid
-    # materializing the full (n, N) value matrix
+    # up to float reassociation; sum_columns uses it to avoid materializing
+    # the full (n, N) value matrix
     column_sums: callable | None = None
 
     def __post_init__(self):
@@ -121,6 +120,12 @@ class DiscretizedClass:
         if data.shape[1] < 2:
             raise ValueError("matrix file needs at least one function column plus envelope")
         return cls.from_matrix(data[:, :-1], data[:, -1], **kwargs)
+
+    def sum_columns(self, batch) -> np.ndarray:
+        """(N,) column sums of evaluate(batch), by the fast path when the class has one."""
+        if self.column_sums is not None:
+            return self.column_sums(batch)
+        return self.evaluate(batch).sum(axis=0)
 
     def atom_measure(self, n_atoms: int, weights=None, measure_id: str = "atoms") -> DiscreteMeasure:
         """Measure over the first n_atoms row indices of a tabular class."""
@@ -320,12 +325,6 @@ def vc_entropy_bound(A: float, v: float, delta: float) -> float:
     if A / delta < _E:
         raise ValueError("A/delta must be at least e")
     return 2.0 * math.sqrt(2.0 * v) * delta * math.sqrt(math.log(A / delta))
-
-
-def vc_profile(A: float, v: float, delta_grid) -> EntropyProfile:
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    J = np.array([vc_entropy_bound(A, v, d) for d in delta_grid])
-    return EntropyProfile(delta_grid, J, source="vc_closed_form")
 
 
 def product_class(left: DiscretizedClass, right: DiscretizedClass) -> DiscretizedClass:

@@ -17,18 +17,20 @@ from scipy.interpolate import BSpline
 from scipy.special import eval_legendre, ndtr, ndtri
 
 from .funcclass import DiscretizedClass
-from .simulate import CovarianceModel, RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
+from .simulate import CovarianceError, CovarianceModel, RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
 
 # ---------------------------------------------------------------------------
 # quadrature
 
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=1)
+def _leggauss():
+    # computed on first use: it takes about half a second
+    return np.polynomial.legendre.leggauss(256)
 
-def gauss_legendre_rule(lo: float, hi: float, nodes: int = 256):
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = _leggauss(nodes)
+
+def gauss_legendre_rule(lo: float, hi: float):
+    """256-point Gauss-Legendre nodes and weights on [lo, hi]; every quadrature here uses it."""
+    x, w = _leggauss()
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -150,7 +152,6 @@ class DensityFamily:
     """g = 1: the statistic estimates the design density."""
 
     x_law: object
-    kind: str = "density"
 
     @property
     def g_count(self):
@@ -181,7 +182,6 @@ class RegressionFamily:
     x_law: object
     mean_fn: callable
     sd_fn: callable
-    kind: str = "regression"
 
     @property
     def g_count(self):
@@ -213,7 +213,6 @@ class CondCdfFamily:
     mean_fn: callable
     sd_fn: callable
     y_grid: np.ndarray
-    kind: str = "cond_cdf"
 
     @property
     def g_count(self):
@@ -266,13 +265,9 @@ class KernelScenario:
     x_grid: np.ndarray
     family: object
     normalization: str = "studentized"
-    dimension: int = 1
-    quad_nodes: int = 256
     name: str = "kernel"
 
     def __post_init__(self):
-        if self.dimension != 1:
-            raise ValueError("built-in kernel scenarios are one-dimensional")
         if self.normalization not in ("unit", "studentized"):
             raise ValueError("normalization must be 'unit' or 'studentized'")
         if len(self.x_grid) == 0:
@@ -313,30 +308,26 @@ class KernelDesign:
     c: np.ndarray  # (Nx, L) normalizing constants
     cls: DiscretizedClass
     cov: CovarianceModel
+    sampler: callable
+
+    @property
+    def index_grid(self) -> np.ndarray:
+        return np.repeat(np.asarray(self.scenario.x_grid, dtype=float), self.means.shape[1])
 
     @property
     def sigma_hat_sd(self) -> np.ndarray:
         """Standard deviation of the raw estimator S_n(x, g) itself."""
-        return np.sqrt(self.variances.reshape(-1) / (self.n * self.h**self.scenario.dimension))
+        return np.sqrt(self.variances.reshape(-1) / (self.n * self.h))
 
     @property
     def estimator_mean(self) -> np.ndarray:
-        """E[S_n(x, g)] = h^{-d} E[g k]."""
-        return self.means.reshape(-1) / self.h**self.scenario.dimension
+        """E[S_n(x, g)] = h^{-1} E[g k]."""
+        return self.means.reshape(-1) / self.h
 
-
-def _pair_windows(xg, h, window, support):
-    lo_s, hi_s = support
-    nx = xg.size
-    lo = np.empty((nx, nx))
-    hi = np.empty((nx, nx))
-    if math.isinf(window):
-        lo[:] = lo_s
-        hi[:] = hi_s
-    else:
-        lo[:] = np.maximum(np.maximum.outer(xg, xg) - window * h, lo_s)
-        hi[:] = np.minimum(np.minimum.outer(xg, xg) + window * h, hi_s)
-    return lo, hi
+    @property
+    def predicted_rate(self) -> float:
+        """(n h)^{-1/6} log n."""
+        return (self.n * self.h) ** (-1.0 / 6.0) * math.log(self.n)
 
 
 def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
@@ -350,52 +341,43 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     law = scn.family.x_law
     xg = np.asarray(scn.x_grid, dtype=float)
     nx, L = xg.size, scn.family.g_count
-    base_x, base_w = _leggauss(scn.quad_nodes)
+    lo_s, hi_s = law.support
 
-    def integrate(lo, hi, f):
-        if hi <= lo:
-            return 0.0
-        half = 0.5 * (hi - lo)
-        t = lo + half * (base_x + 1.0)
-        return float(half * (base_w @ f(t)))
+    def window(a, b):
+        """Part of the support where both k((t - a)/h) and k((t - b)/h) can be nonzero."""
+        if math.isinf(kern.window):
+            return lo_s, hi_s
+        return max(max(a, b) - kern.window * h, lo_s), min(min(a, b) + kern.window * h, hi_s)
 
     # first moments E[g_l(Y) k((X - x_j)/h)]
     means = np.zeros((nx, L))
-    lo_s, hi_s = law.support
     for j, x in enumerate(xg):
-        lo = lo_s if math.isinf(kern.window) else max(x - kern.window * h, lo_s)
-        hi = hi_s if math.isinf(kern.window) else min(x + kern.window * h, hi_s)
+        lo, hi = window(x, x)
         if hi <= lo:
             continue
-        half = 0.5 * (hi - lo)
-        t = lo + half * (base_x + 1.0)
+        t, w = gauss_legendre_rule(lo, hi)
         kv = kern((t - x) / h) * law.density(t)
-        means[j] = half * (base_w[None, :] @ (kv[:, None] * scn.family.g_mean(t)))
+        means[j] = w[None, :] @ (kv[:, None] * scn.family.g_mean(t))
 
     # raw second moments E[g_l g_m k_j k_k] for every grid pair
     raw = np.zeros((nx, L, nx, L))
-    lo_p, hi_p = _pair_windows(xg, h, kern.window, law.support)
     for j in range(nx):
         for k in range(j, nx):
-            lo, hi = lo_p[j, k], hi_p[j, k]
+            lo, hi = window(xg[j], xg[k])
             if hi <= lo:
                 continue
-            half = 0.5 * (hi - lo)
-            t = lo + half * (base_x + 1.0)
+            t, w = gauss_legendre_rule(lo, hi)
             kk = kern((t - xg[j]) / h) * kern((t - xg[k]) / h) * law.density(t)
             cross = scn.family.g_cross(t)  # (nt, L, L)
-            block = half * np.einsum("t,tlm->lm", base_w * kk, cross)
+            block = np.einsum("t,tlm->lm", w * kk, cross)
             raw[j, :, k, :] = block
             raw[k, :, j, :] = block.T
 
-    hd = h**scn.dimension
-    variances = np.empty((nx, L))
-    for j in range(nx):
-        variances[j] = (np.einsum("ll->l", raw[j, :, j, :]) - means[j] ** 2) / hd
+    variances = (np.einsum("jljl->jl", raw) - means**2) / h
     if scn.normalization == "studentized":
         if np.any(variances <= 1e-14):
             bad = xg[np.where(variances.min(axis=1) <= 1e-14)[0][0]]
-            raise ValueError(f"zero variance at grid point {bad}: studentization undefined")
+            raise CovarianceError(f"zero variance at grid point {bad}: studentization undefined")
         c = 1.0 / np.sqrt(variances)
     else:
         c = np.ones((nx, L))
@@ -404,10 +386,10 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     flat_c = c.reshape(-1)
     flat_m = means.reshape(-1)
     raw_flat = raw.reshape(nx * L, nx * L)
-    sigma = np.outer(flat_c, flat_c) * (raw_flat - np.outer(flat_m, flat_m)) / hd
+    sigma = np.outer(flat_c, flat_c) * (raw_flat - np.outer(flat_m, flat_m)) / h
     cov = CovarianceModel.from_matrix(sigma)
 
-    scale = flat_c / math.sqrt(hd)
+    scale = flat_c / math.sqrt(h)
     family = scn.family
     g_sup = getattr(family, "g_bound", None)
 
@@ -437,7 +419,7 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
             return (out - x.size * flat_m) * scale
 
     if g_sup is not None:
-        env_const = float(np.max(flat_c * (kern.sup * g_sup + np.abs(flat_m))) / math.sqrt(hd))
+        env_const = float(np.max(flat_c * (kern.sup * g_sup + np.abs(flat_m))) / math.sqrt(h))
 
         def envelope(batch):
             _, x = family.g_values(batch)
@@ -448,19 +430,15 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         def envelope(batch):
             g, x = family.g_values(batch)
             gmax = np.abs(g).max(axis=1)
-            bound = np.max(flat_c) * (kern.sup * gmax + np.abs(flat_m).max()) / math.sqrt(hd)
+            bound = np.max(flat_c) * (kern.sup * gmax + np.abs(flat_m).max()) / math.sqrt(h)
             return bound
 
     cls = DiscretizedClass(
         evaluate=evaluate, envelope=envelope, size=nx * L, centered=True, column_sums=column_sums
     )
-    return KernelDesign(scenario=scn, n=n, h=h, means=means, variances=variances, c=c, cls=cls, cov=cov)
-
-
-def build_kernel_class(scn: KernelScenario, n: int):
-    """Discretized localized family plus its Gaussian-analogue covariance."""
-    design = design_kernel(scn, n)
-    return design.cls, design.cov
+    return KernelDesign(
+        scenario=scn, n=n, h=h, means=means, variances=variances, c=c, cls=cls, cov=cov, sampler=family.sample
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +508,6 @@ class SeriesScenario:
     noise_sd_fn: callable = None
     tau_grid: np.ndarray | None = None
     x_law: object = field(default_factory=Uniform01)
-    quad_nodes: int = 256
     name: str = "series"
 
     def __post_init__(self):
@@ -576,6 +553,24 @@ class SeriesDesign:
     sampler: callable
     tau_of_col: np.ndarray | None = None  # quantile scenarios: tau index per column
 
+    @property
+    def index_grid(self) -> np.ndarray:
+        return np.repeat(np.asarray(self.scenario.x_grid, dtype=float), self.cls.size // len(self.scenario.x_grid))
+
+    @property
+    def estimator_mean(self) -> np.ndarray:
+        """The statistic alpha^T n^{-1} sum g(eta_i) psi(X_i) is centered."""
+        return np.zeros(self.cls.size)
+
+    @property
+    def sigma_hat_sd(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.cov.sigma) / self.n)
+
+    @property
+    def predicted_rate(self) -> float:
+        """n^{-1/6} xi_n^{1/3} log n."""
+        return self.n ** (-1.0 / 6.0) * xi_n(self.scenario, self.K) ** (1.0 / 3.0) * math.log(self.n)
+
 
 def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
@@ -591,104 +586,75 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     if K < 1:
         raise ValueError("basis order must be at least 1")
     psi = BASES[scn.basis](K)
-    lo, hi = scn.x_law.support
-    tq, wq = gauss_legendre_rule(lo, hi, scn.quad_nodes)
+    tq, wq = gauss_legendre_rule(*scn.x_law.support)
     dens = scn.x_law.density(tq)
     Pq = psi(tq)  # (nodes, K)
     gram = (Pq * (wq * dens)[:, None]).T @ Pq  # E[psi psi^T]
     xg = np.asarray(scn.x_grid, dtype=float)
     Pg = psi(xg)  # (nx, K)
 
+    # column (x_j, level l) sums g_l(eta_i) alpha_jl^T psi(X_i): one level with
+    # g(eta) = eta in the mean model, the check-function scores
+    # tau - 1(eta <= tau) of each level tau in the quantile model
     if scn.noise_model == "mean":
         sd2 = np.asarray(scn.noise_sd_fn(tq), dtype=float) ** 2
         Omega = (Pq * (wq * dens * sd2)[:, None]).T @ Pq  # E[sd^2(X) psi psi^T]
-        A1 = np.linalg.inv(gram)
-        A2 = _spd_sqrt(Omega) @ A1
-        denom = np.linalg.norm(Pg @ A2.T, axis=1)
-        numer = Pg @ A1.T
-        alpha = _safe_normalize(numer, denom)
-        sigma = alpha @ Omega @ alpha.T
-        tau_of_col = None
-        g_of_eta = None
-    else:
-        taus = np.asarray(scn.tau_grid, dtype=float)
-        # built-in check-function design: eta ~ U(0,1), conditional density 1
-        A1 = np.linalg.inv(gram)
-        A2 = _spd_sqrt(gram) @ A1
-        denom = np.linalg.norm(Pg @ A2.T, axis=1)
-        numer = Pg @ A1.T
-        base_alpha = _safe_normalize(numer, denom)  # (nx, K)
-        nx = xg.size
-        alpha = np.empty((nx * taus.size, K))
-        tau_of_col = np.empty(nx * taus.size, dtype=int)
-        for l, tau in enumerate(taus):
-            scale = 1.0 / math.sqrt(tau * (1.0 - tau))
-            alpha[l::taus.size] = base_alpha * scale
-            tau_of_col[l::taus.size] = l
-        Omega = gram
-        cross_tau = np.minimum.outer(taus, taus) - np.outer(taus, taus)
-        inner = alpha @ gram @ alpha.T
-        sigma = inner * cross_tau[np.ix_(tau_of_col, tau_of_col)]
+        level_scale, level_cov = np.ones(1), np.ones((1, 1))
 
+        def scores(eta):
+            return eta[:, None]
+
+        def draw_eta(gen, x, m):
+            return scn.noise_sd_fn(x) * gen.standard_normal(m)
+
+    else:
+        # built-in check-function design: eta ~ U(0,1), conditional density 1
+        Omega = gram
+        taus = np.asarray(scn.tau_grid, dtype=float)
+        level_scale = 1.0 / np.sqrt(taus * (1.0 - taus))
+        level_cov = np.minimum.outer(taus, taus) - np.outer(taus, taus)
+
+        def scores(eta):
+            return taus[None, :] - (eta[:, None] <= taus[None, :])  # (n, n_tau)
+
+        def draw_eta(gen, x, m):
+            return gen.random(m)
+
+    A1 = np.linalg.inv(gram)
+    A2 = _spd_sqrt(Omega) @ A1
+    base_alpha = _safe_normalize(Pg @ A1.T, np.linalg.norm(Pg @ A2.T, axis=1))  # (nx, K)
+    col = np.tile(np.arange(level_scale.size), xg.size)  # level of each column
+    alpha = np.repeat(base_alpha, level_scale.size, axis=0) * level_scale[col, None]
+    sigma = (alpha @ Omega @ alpha.T) * level_cov[np.ix_(col, col)]
     cov = CovarianceModel.from_matrix(sigma)
     proj_sup = float(np.abs(alpha).sum(axis=1).max())
 
-    if scn.noise_model == "mean":
+    def parts(batch):
+        eta, x = batch
+        return scores(np.asarray(eta, dtype=float)), psi(np.asarray(x, dtype=float))
 
-        def evaluate(batch):
-            eta, x = batch
-            proj = psi(np.asarray(x, dtype=float)) @ alpha.T  # (n, N)
-            return np.asarray(eta, dtype=float)[:, None] * proj
+    def evaluate(batch):
+        g, P = parts(batch)
+        return g[:, col] * (P @ alpha.T)
 
-        def column_sums(batch):
-            eta, x = batch
-            w = np.asarray(eta, dtype=float) @ psi(np.asarray(x, dtype=float))  # (K,)
-            return alpha @ w
+    def column_sums(batch):
+        g, P = parts(batch)
+        return np.einsum("ck,ck->c", (g.T @ P)[col], alpha)
 
-        def envelope(batch):
-            eta, x = batch
-            row_sup = np.abs(psi(np.asarray(x, dtype=float))).max(axis=1)
-            return np.abs(np.asarray(eta, dtype=float)) * row_sup * proj_sup
+    def envelope(batch):
+        g, P = parts(batch)
+        return np.abs(g).max(axis=1) * np.abs(P).max(axis=1) * proj_sup
 
-        def sampler(gen, m):
-            x = scn.x_law.sample(gen, m)
-            eta = scn.noise_sd_fn(x) * gen.standard_normal(m)
-            return (eta, x)
-
-    else:
-        taus = np.asarray(scn.tau_grid, dtype=float)
-
-        def evaluate(batch):
-            eta, x = batch
-            eta = np.asarray(eta, dtype=float)
-            proj = psi(np.asarray(x, dtype=float)) @ alpha.T  # (n, N)
-            g = taus[None, :] - (eta[:, None] <= taus[None, :])  # (n, n_tau)
-            return g[:, tau_of_col] * proj
-
-        def column_sums(batch):
-            eta, x = batch
-            eta = np.asarray(eta, dtype=float)
-            P = psi(np.asarray(x, dtype=float))
-            g = taus[None, :] - (eta[:, None] <= taus[None, :])
-            W = g.T @ P  # (n_tau, K)
-            return np.einsum("ck,ck->c", W[tau_of_col], alpha)
-
-        def envelope(batch):
-            eta, x = batch
-            row_sup = np.abs(psi(np.asarray(x, dtype=float))).max(axis=1)
-            return row_sup * proj_sup
-
-        def sampler(gen, m):
-            x = scn.x_law.sample(gen, m)
-            eta = gen.random(m)
-            return (eta, x)
+    def sampler(gen, m):
+        x = scn.x_law.sample(gen, m)
+        return (draw_eta(gen, x, m), x)
 
     cls = DiscretizedClass(
         evaluate=evaluate, envelope=envelope, size=alpha.shape[0], centered=True, column_sums=column_sums
     )
     return SeriesDesign(
         scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=Omega, cov=cov, cls=cls,
-        sampler=sampler, tau_of_col=tau_of_col,
+        sampler=sampler, tau_of_col=None if scn.noise_model == "mean" else col,
     )
 
 
@@ -704,19 +670,21 @@ def _safe_normalize(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_series_class(scn: SeriesScenario, n: int):
-    """(alpha functionals, noise matrix, grid CovarianceModel) for the series process."""
-    design = design_series(scn, n)
-    return design.alpha, design.Omega, design.cov
+def design(scenario, n: int):
+    """KernelDesign or SeriesDesign of a scenario at sample size n.
 
-
-def series_linear_statistic(scn: SeriesScenario, n: int, rng: RngPolicy) -> float:
-    """One draw of sup over the grid of alpha(x)^T [n^{-1/2} sum g(eta_i) psi(X_i)]."""
-    design = design_series(scn, n)
-    gen = rng.stream_of(0)
-    batch = design.sampler(gen, n)
-    vals = design.cls.evaluate(batch)
-    return float(vals.sum(axis=0).max() / math.sqrt(n))
+    Both expose ``scenario``, ``n``, ``cls`` (the centered, normalized class),
+    ``cov`` (its exact Gaussian analogue), ``sampler(gen, m)`` (an i.i.d.
+    batch for ``cls``), ``index_grid`` (the x of each of the ``cls.size``
+    columns), ``estimator_mean`` and ``sigma_hat_sd`` (mean and standard
+    deviation of the raw estimator per column) and ``predicted_rate`` (the
+    theory decay shape of the coupling at n).
+    """
+    if isinstance(scenario, KernelScenario):
+        return design_kernel(scenario, n)
+    if isinstance(scenario, SeriesScenario):
+        return design_series(scenario, n)
+    raise TypeError("scenario must be a KernelScenario or SeriesScenario")
 
 
 def xi_n(scn: SeriesScenario, K: int, grid_points: int = 2001) -> float:
@@ -777,22 +745,13 @@ def rate_experiment(scenario, n_list, R: int, rng: RngPolicy, threads: int = 1) 
     for i, n in enumerate(n_list):
         emp_rng = rng.with_salt(rng.salt + 4 * i + 1)
         gau_rng = rng.with_salt(rng.salt + 4 * i + 3)
-        if isinstance(scenario, KernelScenario):
-            design = design_kernel(scenario, n)
-            sampler = scenario.family.sample
-            predicted = (n * design.h**scenario.dimension) ** (-1.0 / 6.0) * math.log(n)
-        elif isinstance(scenario, SeriesScenario):
-            design = design_series(scenario, n)
-            sampler = design.sampler
-            predicted = n ** (-1.0 / 6.0) * xi_n(scenario, design.K) ** (1.0 / 3.0) * math.log(n)
-        else:
-            raise TypeError("scenario must be a KernelScenario or SeriesScenario")
+        d = design(scenario, n)
         emp = empirical_sup_sample(
-            design.cls, sampler, n, R, emp_rng, statistic_id=f"{scenario.name}_emp_n{n}", threads=threads
+            d.cls, d.sampler, n, R, emp_rng, statistic_id=f"{scenario.name}_emp_n{n}", threads=threads
         )
-        gau = gaussian_sup_sample(design.cov, R, gau_rng, statistic_id=f"{scenario.name}_gauss_n{n}", threads=threads)
+        gau = gaussian_sup_sample(d.cov, R, gau_rng, statistic_id=f"{scenario.name}_gauss_n{n}", threads=threads)
         ks, conf = ks_distance(emp, gau)
-        rows.append(RateRow(n=n, ks=ks, ks_conf=conf, predicted_rate=predicted))
+        rows.append(RateRow(n=n, ks=ks, ks_conf=conf, predicted_rate=d.predicted_rate))
     logn = np.log([r.n for r in rows])
     logks = np.log([max(r.ks, 1e-12) for r in rows])
     slope = float(np.polyfit(logn, logks, 1)[0])

@@ -22,8 +22,8 @@ _SALT_SHIFT = 48
 _INDEX_MASK = (1 << _SALT_SHIFT) - 1
 
 
-class CovarianceError(RuntimeError):
-    """Raised when a covariance matrix cannot be factorized within the ridge ladder."""
+class CovarianceError(RuntimeError, ValueError):
+    """Raised when a covariance cannot be factorized within the ridge ladder, or studentized."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class SupSample:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("statistic_id,seed,n,R\n")
-            fh.write(f"{self.statistic_id},{self.seed},{self.n},{self.R}\n")
+            fh.write("statistic_id,seed,salt,n,R\n")
+            fh.write(f"{self.statistic_id},{self.seed},{self.salt},{self.n},{self.R}\n")
             fh.write("value\n")
             for v in self.values:
                 fh.write(repr(float(v)) + "\n")
@@ -84,9 +84,9 @@ class SupSample:
     def from_csv(cls, path) -> "SupSample":
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        meta = lines[1].split(",")
+        meta = dict(zip(lines[0].split(","), lines[1].split(",")))
         values = np.array([float(v) for v in lines[3:]])
-        return cls(values=values, statistic_id=meta[0], seed=int(meta[1]), n=int(meta[2]))
+        return cls(values, meta["statistic_id"], int(meta["seed"]), int(meta.get("salt", 0)), int(meta["n"]))
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,13 @@ def empirical_sup_sample(
     # salted stream; reusing the replication's own sample would recenter
     # every column to exactly zero.
     aux = rng.with_salt(rng.salt + 1) if centering == "plugin" else None
-    colsum = cls.column_sums if cls.column_sums is not None else (lambda b: cls.evaluate(b).sum(axis=0))
 
     def one(r: int) -> float:
         gen = rng.stream_of(r)
         batch = sampler(gen, n)
-        col = colsum(batch)
+        col = cls.sum_columns(batch)
         if centering == "plugin":
-            m = colsum(sampler(aux.stream_of(r), n)) / n
+            m = cls.sum_columns(sampler(aux.stream_of(r), n)) / n
         else:
             m = means
         return float(np.max(col / root_n - root_n * m))

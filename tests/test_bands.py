@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from supgauss.bands import build_band, coverage_experiment, critical_value
-from supgauss.scenarios import kernel_density_scenario
+from supgauss.scenarios import kernel_density_scenario, series_mean_scenario
 from supgauss.simulate import CovarianceModel, RngPolicy, SupSample, gaussian_sup_sample
 
 
@@ -119,3 +119,14 @@ class TestCoverage:
             math.sqrt(report.empirical * (1 - report.empirical) / 50)
         )
         assert band.x_grid.shape == band.lower.shape
+
+    def test_series_mean_band_coverage_near_nominal(self):
+        scn = series_mean_scenario(grid_points=16)
+        report, band = coverage_experiment(scn, alpha=0.05, n=500, R_outer=400, R_inner=4000, rng=RngPolicy(31))
+        assert abs(report.empirical - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / 400)
+        np.testing.assert_array_equal(band.x_grid, scn.x_grid)
+
+    def test_rejects_unstudentized_design(self):
+        scn = kernel_density_scenario(grid_points=8, normalization="unit")
+        with pytest.raises(ValueError, match="studentized"):
+            coverage_experiment(scn, alpha=0.1, n=300, R_outer=10, R_inner=100, rng=RngPolicy(32))

@@ -176,6 +176,83 @@ class TestRun:
         assert len(lines) == 3
 
 
+TINY_PARAMS = {
+    "rate": {"n_list": [100, 200, 400], "replications": 20},
+    "bands": {"alpha": 0.2, "n": 200, "R_outer": 20, "R_inner": 200},
+    "anticoncentration": {"n": 200, "replications": 500},
+}
+
+
+class TestScenarioContract:
+    """Scenario subcommands exit 0 on every scenario type, 2 on a bad spec, never with a traceback."""
+
+    @pytest.mark.parametrize("subcommand", ["bands", "anticoncentration"])
+    @pytest.mark.parametrize(
+        "scenario, columns",
+        [
+            ({"type": "kernel_density", "grid_points": 8}, 8),
+            ({"type": "series_mean", "grid_points": 8}, 8),
+            ({"type": "series_quantile", "grid_points": 4, "tau_grid": [0.25, 0.5, 0.75]}, 12),
+        ],
+        ids=["kernel_density", "series_mean", "series_quantile"],
+    )
+    def test_every_scenario_type_runs(self, tmp_path, capsys, subcommand, scenario, columns):
+        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if subcommand == "bands":
+            rows = (tmp_path / "out" / "band.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + columns
+
+    @pytest.mark.parametrize(
+        "subcommand, scenario, anchor",
+        [
+            ("bands", {"type": "kernel_density", "grid_lo": -0.5}, "scenario.grid_lo"),
+            ("rate", {"type": "series_mean", "grid_lo": 0.7, "grid_hi": 0.2}, "scenario.grid_lo"),
+            ("bands", {"type": "kernel_density", "normalization": "unit"}, "scenario.normalization"),
+            ("rate", {"type": "kernel_density", "normalization": "robust"}, "scenario.normalization"),
+            ("rate", {"type": "kernel_density", "data_law": "nope"}, "scenario.data_law"),
+            ("rate", {"type": "kernel_density", "kernel": "nope"}, "scenario.kernel"),
+            ("rate", {"type": "series_mean", "basis": "nope"}, "scenario.basis"),
+            ("rate", {"type": "kernel_density", "bandwidth_scale": -1}, "scenario.bandwidth_scale"),
+            ("rate", {"type": "series_mean", "k_scale": 0}, "scenario.k_scale"),
+            ("anticoncentration", {"type": "series_quantile", "tau_grid": [0.0, 0.5]}, "scenario.tau_grid"),
+            ("rate", {"type": "kernel_density", "law_params": {"a": -1}}, "scenario.law_params"),
+        ],
+    )
+    def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
+        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert anchor in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, scenario",
+        [
+            ("bands", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.001}}),
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 40}),
+        ],
+        ids=["no_data_mass_near_grid", "collapsed_bandwidth"],
+    )
+    def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario):
+        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert "zero variance" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_zero_replications_rejected(self):
+        cfg = minimal_config(subcommand="anticoncentration", params={"replications": 0})
+        _, errors = validate(json.dumps(cfg))
+        assert [e.path for e in errors] == ["params.replications"]
+
+
 class TestDeterminism:
     def _run_twice(self, tmp_path, threads_second=3):
         outputs = []

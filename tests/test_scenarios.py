@@ -13,13 +13,11 @@ from supgauss.scenarios import (
     KernelScenario,
     SeriesScenario,
     Uniform01,
-    build_kernel_class,
-    build_series_class,
+    design,
     design_kernel,
     design_series,
     kernel_density_scenario,
     rate_experiment,
-    series_linear_statistic,
     series_mean_scenario,
     xi_n,
 )
@@ -111,9 +109,9 @@ class TestKernelDesign:
             design_kernel(scn, 100)
 
     def test_build_returns_class_and_covariance(self):
-        cls, cov = build_kernel_class(kernel_density_scenario(grid_points=8), 500)
-        assert cls.size == 8
-        assert cov.dim == 8
+        d = design(kernel_density_scenario(grid_points=8), 500)
+        assert d.cls.size == 8
+        assert d.cov.dim == 8
 
     def test_gaussian_kernel_supported(self):
         scn = kernel_density_scenario(kernel="gaussian", grid_points=8)
@@ -206,17 +204,11 @@ class TestSeriesDesign:
         vals = d.cls.evaluate((np.zeros(500), x))
         np.testing.assert_array_equal(vals, np.zeros_like(vals))
 
-    def test_build_series_class_surface(self):
-        alpha, omega, cov = build_series_class(series_mean_scenario(grid_points=10), 125)
-        assert alpha.shape == (10, 5)
-        assert omega.shape == (5, 5)
-        assert cov.dim == 10
-
-    def test_series_linear_statistic_reproducible(self):
-        scn = series_mean_scenario(grid_points=8)
-        a = series_linear_statistic(scn, 200, RngPolicy(9))
-        b = series_linear_statistic(scn, 200, RngPolicy(9))
-        assert a == b
+    def test_design_functionals_and_covariance_shapes(self):
+        d = design(series_mean_scenario(grid_points=10), 125)
+        assert d.alpha.shape == (10, 5)
+        assert d.Omega.shape == (5, 5)
+        assert d.cov.dim == 10
 
     def test_column_sums_fast_paths_match_dense(self):
         mean_d = design_series(series_mean_scenario(grid_points=16), 500)
@@ -231,6 +223,48 @@ class TestSeriesDesign:
         qbatch = qd.sampler(RngPolicy(46).stream_of(0), 400)
         qdense = qd.cls.evaluate(qbatch).sum(axis=0)
         np.testing.assert_allclose(qd.cls.column_sums(qbatch), qdense, rtol=1e-10, atol=1e-10)
+
+
+def _quantile_scenario():
+    return SeriesScenario(
+        basis="legendre", K_rule=lambda n: 4,
+        x_grid=np.linspace(0, 1, 6), noise_model="quantile", tau_grid=np.array([0.25, 0.5, 0.75]),
+    )
+
+
+SURFACE_SCENARIOS = {
+    "epanechnikov": lambda: kernel_density_scenario(grid_points=12),
+    "gaussian_kernel": lambda: kernel_density_scenario(kernel="gaussian", grid_points=12),
+    "series_mean": lambda: series_mean_scenario(grid_points=12),
+    "series_quantile": _quantile_scenario,
+}
+
+
+class TestDesignSurface:
+    """design(scenario, n) gives every scenario type the same surface."""
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_SCENARIOS))
+    def test_shared_surface(self, name):
+        scn = SURFACE_SCENARIOS[name]()
+        d = design(scn, 400)
+        assert d.scenario is scn and d.n == 400
+        size = d.cls.size
+        assert len(d.index_grid) == len(d.estimator_mean) == len(d.sigma_hat_sd) == size == d.cov.dim
+        assert set(np.unique(d.index_grid)) == set(np.asarray(scn.x_grid, dtype=float))
+        assert np.all(d.sigma_hat_sd > 0)
+        assert math.isfinite(d.predicted_rate) and d.predicted_rate > 0
+        batch = d.sampler(RngPolicy(47).stream_of(0), 400)
+        values = d.cls.evaluate(batch)
+        assert values.shape == (400, size)
+        np.testing.assert_allclose(d.cls.sum_columns(batch), values.sum(axis=0), rtol=1e-9, atol=1e-9)
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="KernelScenario or SeriesScenario"):
+            design(object(), 100)
+
+    def test_quantile_index_grid_repeats_each_x_per_level(self):
+        d = design(_quantile_scenario(), 200)
+        np.testing.assert_array_equal(d.index_grid, np.repeat(np.linspace(0, 1, 6), 3))
 
 
 class TestBases:

@@ -63,13 +63,14 @@ class TestSupSample:
         assert s.R == 3
 
     def test_csv_round_trip(self, tmp_path):
-        s = SupSample(np.array([0.25, -1.5, 3.125]), "demo", seed=42, n=100)
+        s = SupSample(np.array([0.25, -1.5, 3.125]), "demo", seed=42, salt=7, n=100)
         path = tmp_path / "s.csv"
         s.to_csv(path)
         back = SupSample.from_csv(path)
         np.testing.assert_array_equal(back.values, s.values)
         assert back.statistic_id == "demo"
         assert back.seed == 42
+        assert back.salt == 7
         assert back.n == 100
 
     def test_rejects_empty(self):
