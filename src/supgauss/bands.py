@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenarios import design, design_kernel  # noqa: F401  (the benchmark tracer patches bands.design_kernel)
-from .simulate import RngPolicy, SupSample, gaussian_sup_sample, sup_quantile
+from .simulate import RngPolicy, SupSample, empirical_sup_sample, gaussian_sup_sample, sup_quantile
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def build_band(estimate, sigma_n, c_alpha: float, side: str = "two_sided", x_gri
         raise ValueError("estimate and sigma_n must have the same length")
     if np.any(sigma_n < 0):
         raise ValueError("sigma_n must be nonnegative")
-    if c_alpha < 0:
-        raise ValueError("c_alpha must be nonnegative")
+    if c_alpha < 0 and side == "two_sided":
+        # one-sided critical values may be negative: for alpha > 1/2 the
+        # (1 - alpha)-quantile of max_j Z_j can lie below 0
+        raise ValueError("c_alpha of a two-sided band must be nonnegative")
     if x_grid is None:
         x_grid = np.arange(estimate.size, dtype=float)
     return BandResult(
@@ -89,9 +91,7 @@ def coverage_experiment(
     R_outer: int,
     R_inner: int,
     rng: RngPolicy,
-    target: str = "exact_centered",
     side: str = "two_sided",
-    true_function=None,
     threads: int = 1,
 ):
     """Coverage of the Gaussian-calibrated band over R_outer data replications.
@@ -99,55 +99,36 @@ def coverage_experiment(
     ``scenario`` is a kernel or series scenario whose design is studentized
     (unit variance at every column).  The critical value comes from R_inner
     draws of the exact Gaussian analogue (covariance by quadrature, shared
-    across replications).  The ``exact_centered`` target is E[S_n(x)], which
-    removes bias entirely so coverage error isolates the Gaussian
-    approximation of the supremum; ``true_function`` covers an explicitly
-    supplied curve instead.
+    across replications).  The target is E[S_n(x)], which removes bias
+    entirely so coverage error isolates the Gaussian approximation of the
+    supremum.  With studentized deviations Z_n = (S_hat - E S_hat) / sd(S_hat)
+    the band est +/- c sd covers the target at every x exactly when
+    max_j |Z_n| <= c (``one_sided_lower``: max_j Z_n <= c), so coverage is the
+    fraction of empirical suprema at or below c(alpha).
 
     Returns (CoverageReport, BandResult) with the band from replication 0.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if target not in ("exact_centered", "true_function"):
-        raise ValueError("unknown coverage target")
-    if target == "true_function" and true_function is None:
-        raise ValueError("true_function target requires an evaluable truth")
     d = design(scenario, n)
     if not np.allclose(np.diag(d.cov.sigma), 1.0):
         raise ValueError("coverage experiments require a studentized scenario")
+    absolute = side == "two_sided"
     inner_rng = rng.with_salt(rng.salt + 101)
     gauss = gaussian_sup_sample(
-        d.cov, R_inner, inner_rng, absolute=(side == "two_sided"),
-        statistic_id="band_gauss", threads=threads,
+        d.cov, R_inner, inner_rng, absolute=absolute, statistic_id="band_gauss", threads=threads
     )
     c_alpha = critical_value(gauss, alpha)
-
-    est_mean = d.estimator_mean
-    sigma_n = d.sigma_hat_sd
-    if target == "exact_centered":
-        target_vals = est_mean
-    else:
-        target_vals = np.asarray(true_function(d.index_grid), dtype=float)
-    root_n = math.sqrt(n)
-
-    hits = 0
-    band0 = None
-    # serial on purpose: kernel column sums hold the GIL, so threads would only add overhead
-    for r in range(R_outer):
-        batch = d.sampler(rng.stream_of(r), n)
-        # studentized deviations: (S_hat - E S_hat) / sd(S_hat) per column
-        dev = d.cls.sum_columns(batch) / root_n
-        estimate = est_mean + sigma_n * dev
-        band = build_band(estimate, sigma_n, c_alpha, side=side, x_grid=d.index_grid, alpha=alpha)
-        if band.contains(target_vals):
-            hits += 1
-        if r == 0:
-            band0 = band
+    emp = empirical_sup_sample(d.cls, d.sampler, n, R_outer, rng, absolute=absolute, threads=threads)
     report = CoverageReport(
         nominal=1.0 - alpha,
-        empirical=hits / R_outer,
+        empirical=int(np.count_nonzero(emp.values <= c_alpha)) / R_outer,  # a float: summary.txt writes its repr
         replications=R_outer,
         c_alpha=c_alpha,
         inner_replications=R_inner,
     )
-    return report, band0
+    # the returned band: replication 0 redrawn from its stream
+    dev = d.cls.sum_columns(d.sampler(rng.stream_of(0), n)) / math.sqrt(n)
+    estimate = d.estimator_mean + d.sigma_hat_sd * dev
+    band = build_band(estimate, d.sigma_hat_sd, c_alpha, side=side, x_grid=d.index_grid, alpha=alpha)
+    return report, band

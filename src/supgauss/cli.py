@@ -114,8 +114,8 @@ def validate(config_text: str):
         ns = params["n_list"]
         if not isinstance(ns, list) or any((not isinstance(n, int)) or n < 3 for n in ns):
             err("params.n_list", "every n must be an integer >= 3 (the coupling constructions assume n >= 3)")
-        elif any(b <= a for a, b in zip(ns, ns[1:])):
-            err("params.n_list", "n_list must be strictly increasing")
+        elif len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
+            err("params.n_list", "n_list must be strictly increasing with at least 3 entries")
     for key in ("replications", "R_outer", "R_inner"):
         if key in params and (not isinstance(params[key], int) or params[key] < 1):
             err(f"params.{key}", f"{key} must be a positive integer")
@@ -123,6 +123,14 @@ def validate(config_text: str):
         a = params["alpha"]
         if not isinstance(a, (int, float)) or not 0 < a < 1:
             err("params.alpha", "alpha must lie strictly between 0 and 1")
+    if sub == "bands" and params.get("side", "two_sided") not in ("two_sided", "one_sided_lower"):
+        err("params.side", "side must be 'two_sided' or 'one_sided_lower'")
+    if sub == "bands" and params.get("target", "exact_centered") != "exact_centered":
+        err("params.target", "the only coverage target is 'exact_centered'")
+    if "epsilons" in params:
+        eps = params["epsilons"]
+        if not isinstance(eps, list) or not eps or not all(_is_number(e) and e > 0 for e in eps):
+            err("params.epsilons", "epsilons must be a nonempty list of positive numbers")
     if "beta" in params and "delta" in params:
         if params["beta"] * params["delta"] <= 1:
             err("params.beta", "beta * delta must exceed 1 (the smoothing tolerance needs alpha > 0)")
@@ -480,7 +488,6 @@ def _run_bands(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
         R_outer=int(p.get("R_outer", 500)),
         R_inner=int(p.get("R_inner", 4000)),
         rng=RngPolicy(cfg.seed),
-        target=p.get("target", "exact_centered"),
         side=p.get("side", "two_sided"),
         threads=cfg.threads,
     )

@@ -22,10 +22,16 @@ from .simulate import CovarianceError, CovarianceModel, RngPolicy, empirical_sup
 # ---------------------------------------------------------------------------
 # quadrature
 
+QUAD_NODES = 256
+# largest series basis order: at half the nodes the quadrature Gram of every
+# basis is still the identity (Fourier, Legendre) or well conditioned (B-splines)
+MAX_BASIS_ORDER = QUAD_NODES // 2
+
+
 @lru_cache(maxsize=1)
 def _leggauss():
     # computed on first use: it takes about half a second
-    return np.polynomial.legendre.leggauss(256)
+    return np.polynomial.legendre.leggauss(QUAD_NODES)
 
 
 def gauss_legendre_rule(lo: float, hi: float):
@@ -585,6 +591,8 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     K = int(scn.K_rule(n))
     if K < 1:
         raise ValueError("basis order must be at least 1")
+    if K > MAX_BASIS_ORDER:
+        raise CovarianceError(f"basis order K = {K} exceeds {MAX_BASIS_ORDER}, more than the quadrature resolves")
     psi = BASES[scn.basis](K)
     tq, wq = gauss_legendre_rule(*scn.x_law.support)
     dens = scn.x_law.density(tq)

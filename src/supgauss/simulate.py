@@ -153,44 +153,26 @@ def empirical_sup_sample(
     n: int,
     R: int,
     rng: RngPolicy,
-    centering: str = "analytic_means",
-    means: np.ndarray | None = None,
+    absolute: bool = False,
     statistic_id: str = "empirical_sup",
     threads: int = 1,
 ) -> SupSample:
-    """Sample sup_j n^{-1/2} sum_i (f_j(X_i) - P f_j) over R replications.
+    """Sample max_j n^{-1/2} sum_i f_j(X_i) of a centered class over R replications.
 
     ``sampler(gen, n)`` draws an i.i.d. batch from P using the supplied
-    generator.  With ``centering="analytic_means"`` the population means are
-    taken from ``means`` (zeros for a centered class); ``"plugin"`` estimates
-    them from an auxiliary independent draw of the same size, adding
-    nuisance-estimation noise to the statistic.
+    generator.  The class must be centered (P f_j = 0 for every j).  With
+    ``absolute=True`` the statistic is max_j |.|, i.e. the supremum over the
+    class closed under negation.
     """
     if n < 3:
         raise ValueError("sample size must be at least 3")
-    if centering not in ("analytic_means", "plugin"):
-        raise ValueError(f"unknown centering mode: {centering}")
-    if centering == "analytic_means":
-        if means is None:
-            if not cls.centered:
-                raise ValueError("analytic_means centering requires means for a non-centered class")
-            means = np.zeros(cls.size)
-        means = np.asarray(means, dtype=float)
+    if not cls.centered:
+        raise ValueError("the empirical supremum requires a centered class")
     root_n = math.sqrt(n)
-    # Plugin centering estimates the means from an auxiliary draw on a
-    # salted stream; reusing the replication's own sample would recenter
-    # every column to exactly zero.
-    aux = rng.with_salt(rng.salt + 1) if centering == "plugin" else None
 
     def one(r: int) -> float:
-        gen = rng.stream_of(r)
-        batch = sampler(gen, n)
-        col = cls.sum_columns(batch)
-        if centering == "plugin":
-            m = cls.sum_columns(sampler(aux.stream_of(r), n)) / n
-        else:
-            m = means
-        return float(np.max(col / root_n - root_n * m))
+        z = cls.sum_columns(sampler(rng.stream_of(r), n)) / root_n
+        return float(np.abs(z).max() if absolute else z.max())
 
     values = _run_replications(one, R, threads)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=n)

@@ -18,6 +18,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from supgauss.bands import coverage_experiment
 from supgauss.bounds import crossover_sweep
@@ -39,6 +40,8 @@ from supgauss.simulate import (
     levy_concentration,
 )
 from supgauss.smoothmax import IndicatorSmoothing, epsilon_beta_delta, smooth_max_derivs, smoothed_indicator
+
+pytestmark = pytest.mark.acceptance
 
 _artifacts: dict = {}
 

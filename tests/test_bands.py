@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from supgauss.bands import build_band, coverage_experiment, critical_value
-from supgauss.scenarios import kernel_density_scenario, series_mean_scenario
-from supgauss.simulate import CovarianceModel, RngPolicy, SupSample, gaussian_sup_sample
+from supgauss.scenarios import design, kernel_density_scenario, series_mean_scenario
+from supgauss.simulate import CovarianceModel, RngPolicy, SupSample, empirical_sup_sample, gaussian_sup_sample
 
 
 class TestCriticalValue:
@@ -39,6 +39,12 @@ class TestBuildBand:
         band = build_band(np.array([1.0]), np.array([0.5]), 2.0, side="one_sided_lower")
         assert band.upper[0] == math.inf
         assert band.lower[0] == pytest.approx(0.0)
+
+    def test_negative_c_only_one_sided(self):
+        band = build_band(np.array([1.0]), np.array([0.5]), -2.0, side="one_sided_lower")
+        assert band.lower[0] == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_band(np.array([1.0]), np.array([0.5]), -2.0)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -84,6 +90,16 @@ class TestCoverage:
         )
         assert abs(report.empirical - 0.5) <= 4.0 * math.sqrt(0.25 / 400)
 
+    def test_one_sided_band_above_half_alpha(self):
+        # one column: c_alpha is the 0.1-quantile of N(0, 1), about -1.28
+        scn = kernel_density_scenario(grid_points=1)
+        report, band = coverage_experiment(
+            scn, alpha=0.9, n=300, R_outer=200, R_inner=2000, rng=RngPolicy(34), side="one_sided_lower"
+        )
+        assert report.c_alpha == pytest.approx(-1.2816, abs=0.1)
+        assert np.all(band.lower > band.estimate)
+        assert abs(report.empirical - 0.1) <= 4.0 * math.sqrt(0.09 / 200)
+
     def test_infinite_c_alpha_covers(self):
         scn = kernel_density_scenario(grid_points=8)
         _, band = coverage_experiment(scn, alpha=0.5, n=300, R_outer=60, R_inner=400, rng=RngPolicy(26))
@@ -105,15 +121,11 @@ class TestCoverage:
         assert np.all(np.isinf(band.upper))
         assert 0.8 <= report.empirical <= 1.0
 
-    def test_true_function_requires_truth(self):
-        scn = kernel_density_scenario(grid_points=8)
-        with pytest.raises(ValueError, match="truth"):
-            coverage_experiment(scn, alpha=0.1, n=300, R_outer=10, R_inner=100, rng=RngPolicy(29), target="true_function")
-
     def test_report_fields(self):
         scn = kernel_density_scenario(grid_points=8)
         report, band = coverage_experiment(scn, alpha=0.2, n=300, R_outer=50, R_inner=500, rng=RngPolicy(30))
         assert report.nominal == pytest.approx(0.8)
+        assert type(report.empirical) is float  # summary.txt writes its repr
         assert 0.0 <= report.empirical <= 1.0
         assert report.binomial_se == pytest.approx(
             math.sqrt(report.empirical * (1 - report.empirical) / 50)
@@ -125,6 +137,30 @@ class TestCoverage:
         report, band = coverage_experiment(scn, alpha=0.05, n=500, R_outer=400, R_inner=4000, rng=RngPolicy(31))
         assert abs(report.empirical - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / 400)
         np.testing.assert_array_equal(band.x_grid, scn.x_grid)
+
+    @pytest.mark.parametrize(
+        "scn, side",
+        [
+            (kernel_density_scenario(grid_points=8), "two_sided"),
+            (kernel_density_scenario(grid_points=8), "one_sided_lower"),
+            (series_mean_scenario(grid_points=8), "two_sided"),
+        ],
+        ids=["kernel_two_sided", "kernel_one_sided_lower", "series_mean"],
+    )
+    def test_coverage_is_count_over_sup_sample(self, scn, side):
+        n, R_outer, rng = 300, 100, RngPolicy(33)
+        report, _ = coverage_experiment(scn, alpha=0.2, n=n, R_outer=R_outer, R_inner=1000, rng=rng, side=side)
+        d = design(scn, n)
+        emp = empirical_sup_sample(d.cls, d.sampler, n, R_outer, rng, absolute=(side == "two_sided"))
+        assert report.empirical == np.count_nonzero(emp.values <= report.c_alpha) / R_outer
+        # the same count as bands built from each replication's estimate that contain E S_n
+        hits = 0
+        for r in range(R_outer):
+            dev = d.cls.sum_columns(d.sampler(rng.stream_of(r), n)) / math.sqrt(n)
+            band = build_band(d.estimator_mean + d.sigma_hat_sd * dev, d.sigma_hat_sd, report.c_alpha, side=side)
+            hits += band.contains(d.estimator_mean)
+        assert report.empirical == hits / R_outer
+        assert 0.0 < report.empirical < 1.0
 
     def test_rejects_unstudentized_design(self):
         scn = kernel_density_scenario(grid_points=8, normalization="unit")

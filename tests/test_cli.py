@@ -183,6 +183,14 @@ TINY_PARAMS = {
 }
 
 
+def run_cli(tmp_path, subcommand, scenario, params=None) -> int:
+    params = {**TINY_PARAMS[subcommand], **(params or {})}
+    cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+    return main(["--config", str(path), "--output", str(tmp_path / "out")])
+
+
 class TestScenarioContract:
     """Scenario subcommands exit 0 on every scenario type, 2 on a bad spec, never with a traceback."""
 
@@ -197,10 +205,7 @@ class TestScenarioContract:
         ids=["kernel_density", "series_mean", "series_quantile"],
     )
     def test_every_scenario_type_runs(self, tmp_path, capsys, subcommand, scenario, columns):
-        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 0
+        assert run_cli(tmp_path, subcommand, scenario) == 0
         assert "Traceback" not in capsys.readouterr().err
         if subcommand == "bands":
             rows = (tmp_path / "out" / "band.csv").read_text().strip().splitlines()
@@ -223,29 +228,44 @@ class TestScenarioContract:
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
-        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
-        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert run_cli(tmp_path, subcommand, scenario) == 2
         err = capsys.readouterr().err
         assert anchor in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "subcommand, scenario",
+        "subcommand, params, anchor",
         [
-            ("bands", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.001}}),
-            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 40}),
+            ("bands", {"side": "upper"}, "params.side"),
+            ("bands", {"target": "true_function"}, "params.target"),
+            ("rate", {"n_list": [500, 2000]}, "params.n_list"),
+            ("anticoncentration", {"epsilons": [0.0]}, "params.epsilons"),
+            ("anticoncentration", {"epsilons": ["a"]}, "params.epsilons"),
         ],
-        ids=["no_data_mass_near_grid", "collapsed_bandwidth"],
+        ids=["side_upper", "target_true_function", "two_sample_sizes", "zero_epsilon", "string_epsilon"],
     )
-    def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario):
-        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario, "params": TINY_PARAMS[subcommand]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["--config", str(path), "--output", str(tmp_path / "out")]) == 3
+    def test_bad_params_exits_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
+        assert run_cli(tmp_path, subcommand, {"type": "kernel_density"}, params) == 2
+        err = capsys.readouterr().err
+        assert anchor in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, scenario, params, message",
+        [
+            ("bands", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.001}},
+             None, "zero variance"),
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 40}, None, "zero variance"),
+            # K = ceil(1.9 * 14^1.9) = 287 basis functions, more than the 256 quadrature nodes resolve
+            ("anticoncentration", {"type": "series_quantile", "k_power": 1.9, "k_scale": 1.9},
+             {"n": 14, "replications": 5}, "K = 287 exceeds 128"),
+        ],
+        ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap"],
+    )
+    def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
+        assert run_cli(tmp_path, subcommand, scenario, params) == 3
         assert "Traceback" not in capsys.readouterr().err
-        assert "zero variance" in (tmp_path / "out" / "summary.txt").read_text()
+        assert message in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_zero_replications_rejected(self):
         cfg = minimal_config(subcommand="anticoncentration", params={"replications": 0})
@@ -254,25 +274,36 @@ class TestScenarioContract:
 
 
 class TestDeterminism:
-    def _run_twice(self, tmp_path, threads_second=3):
+    def _run_twice(self, tmp_path, subcommand, scenario, params, files, threads_second=3):
         outputs = []
         for tag, threads in (("a", 1), ("b", threads_second)):
             cfg = {
-                "subcommand": "rate",
+                "subcommand": subcommand,
                 "seed": 11,
                 "threads": threads,
                 "output_dir": str(tmp_path / tag),
-                "scenario": {"type": "kernel_density", "grid_points": 6},
-                "params": {"n_list": [100, 200, 400], "replications": 80},
+                "scenario": scenario,
+                "params": params,
             }
             config, errors = validate(json.dumps(cfg))
             assert not errors
             assert run(config) == 0
-            outputs.append((Path(cfg["output_dir"]) / "rate.csv").read_bytes())
+            outputs.append([(Path(cfg["output_dir"]) / name).read_bytes() for name in files])
         return outputs
 
     def test_byte_identical_across_thread_caps(self, tmp_path):
-        a, b = self._run_twice(tmp_path)
+        a, b = self._run_twice(
+            tmp_path, "rate", {"type": "kernel_density", "grid_points": 6},
+            {"n_list": [100, 200, 400], "replications": 80}, ["rate.csv", "summary.txt"],
+        )
+        assert a == b
+
+    @pytest.mark.parametrize("stype", ["kernel_density", "series_mean"])
+    def test_bands_byte_identical_across_thread_caps(self, tmp_path, stype):
+        a, b = self._run_twice(
+            tmp_path, "bands", {"type": stype, "grid_points": 6},
+            {"alpha": 0.2, "n": 200, "R_outer": 90, "R_inner": 300}, ["band.csv", "coverage.json", "summary.txt"],
+        )
         assert a == b
 
     def test_manifest_round_trip(self, tmp_path):

@@ -36,7 +36,7 @@ SERIES = {
     "grid_points": grid_points,
     "grid_lo": bounds,
     "grid_hi": bounds,
-    "k_power": st.floats(0.0, 0.5),
+    "k_power": st.floats(0.0, 2.0),
     "k_scale": scales,
 }
 
@@ -51,13 +51,19 @@ scenarios = st.one_of(
 
 budgets = st.integers(0, 20)
 params = {
-    "rate": st.builds(
-        lambda n, R: {"n_list": [n, 2 * n, 3 * n], "replications": R}, st.integers(3, 66), budgets
+    "rate": st.fixed_dictionaries(
+        {"n_list": st.lists(st.integers(3, 200), min_size=1, max_size=4, unique=True).map(sorted),
+         "replications": budgets}
     ),
     "bands": st.fixed_dictionaries(
-        {"n": st.integers(3, 200), "R_outer": budgets, "R_inner": budgets, "alpha": st.floats(0.05, 0.95)}
+        {"n": st.integers(3, 200), "R_outer": budgets, "R_inner": budgets, "alpha": st.floats(0.05, 0.95)},
+        optional={"side": st.sampled_from(["two_sided", "one_sided_lower", "upper"]),
+                  "target": st.sampled_from(["exact_centered", "true_function"])},
     ),
-    "anticoncentration": st.fixed_dictionaries({"n": st.integers(3, 200), "replications": budgets}),
+    "anticoncentration": st.fixed_dictionaries(
+        {"n": st.integers(3, 200), "replications": budgets},
+        optional={"epsilons": st.lists(st.one_of(st.floats(-0.1, 0.5), st.just("a")), max_size=3)},
+    ),
 }
 configs = st.sampled_from(sorted(params)).flatmap(
     lambda sub: st.fixed_dictionaries(

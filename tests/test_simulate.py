@@ -127,6 +127,20 @@ class TestEmpiricalSup:
         )
         s = empirical_sup_sample(cls, lambda g, n: g.random(n), n=100, R=200, rng=RngPolicy(23))
         assert np.all(s.values >= 0)
+        # closed under negation already: max_j |.| is max_j
+        s_abs = empirical_sup_sample(cls, lambda g, n: g.random(n), n=100, R=200, rng=RngPolicy(23), absolute=True)
+        np.testing.assert_array_equal(s_abs.values, s.values)
+
+    def test_absolute_single_function(self):
+        cls = centered_uniform_class()
+        plain = empirical_sup_sample(cls, lambda g, n: g.random(n), n=100, R=200, rng=RngPolicy(24))
+        s_abs = empirical_sup_sample(cls, lambda g, n: g.random(n), n=100, R=200, rng=RngPolicy(24), absolute=True)
+        np.testing.assert_array_equal(s_abs.values, np.sort(np.abs(plain.values)))
+
+    def test_rejects_non_centered_class(self):
+        cls = DiscretizedClass.from_functions([lambda x: np.asarray(x)], lambda x: np.abs(np.asarray(x)))
+        with pytest.raises(ValueError, match="centered class"):
+            empirical_sup_sample(cls, lambda g, n: g.random(n), n=50, R=5, rng=RngPolicy(2))
 
     def test_rejects_small_n(self):
         cls = centered_uniform_class()
@@ -141,13 +155,6 @@ class TestEmpiricalSup:
         ]
         np.testing.assert_array_equal(runs[0].values, runs[1].values)
         np.testing.assert_array_equal(runs[0].values, runs[2].values)
-
-    def test_plugin_centering_runs(self):
-        cls = centered_uniform_class()
-        s = empirical_sup_sample(
-            cls, lambda g, n: g.random(n), n=500, R=100, rng=RngPolicy(9), centering="plugin"
-        )
-        assert np.isfinite(s.values).all()
 
 
 class TestGaussianCovariance:
