@@ -176,6 +176,9 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
     for key in ("bandwidth_scale", "k_scale"):
         if key in scenario and not (_is_number(scenario[key]) and scenario[key] > 0):
             problems.append((f"scenario.{key}", f"{key} must be a positive number"))
+    for key in ("bandwidth_power", "k_power"):
+        if key in scenario and not _is_number(scenario[key]):
+            problems.append((f"scenario.{key}", f"{key} must be a finite number"))
     if "grid_points" in scenario and (not isinstance(scenario["grid_points"], int) or scenario["grid_points"] < 1):
         problems.append(("scenario.grid_points", "grid_points must be a positive integer"))
     taus = scenario.get("tau_grid", [0.5])
@@ -284,15 +287,13 @@ def _run_smoothmax_check(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]
     sandwich_viol = 0
     batches = 40
     per = max(1, draws // batches)
-    # sandwich suite batched as whole matrices; the remaining suites drive
-    # the scalar library entry points directly
+    # sandwich suite on whole (per, dim) matrices, one smooth max per row
     for _ in range(batches):
         dim = int(gen.integers(1, p_max + 1))
         beta = float(gen.uniform(0.05, 50.0))
         x = gen.standard_normal((per, dim)) * gen.uniform(0.5, 3.0)
         m = x.max(axis=1)
-        shifted = np.exp(beta * (x - m[:, None]))
-        fb = m + np.log(shifted.sum(axis=1)) / beta
+        fb = smooth_max(x, beta)
         upper = m + math.log(dim) / beta
         sandwich_viol += int(np.sum((fb < m - 1e-12) | (fb > upper + 1e-9)))
 

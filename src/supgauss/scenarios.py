@@ -4,6 +4,9 @@ A scenario describes the data law, the localization (bandwidth or basis
 order), the evaluation grid, and the normalization.  Builders discretize the
 induced function family on the grid and compute the matching Gaussian-analogue
 covariance by quadrature, so the analogue law is exact up to quadrature error.
+Kernel moments use the 256-node rule on each panel between the window edges
+x_j +/- window * h, where every kernel is smooth: exact for the Epanechnikov
+kernel on a polynomial density.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ MAX_BASIS_ORDER = QUAD_NODES // 2
 
 @lru_cache(maxsize=1)
 def _leggauss():
-    # computed on first use: it takes about half a second
     return np.polynomial.legendre.leggauss(QUAD_NODES)
 
 
@@ -240,23 +242,17 @@ class CondCdfFamily:
         return g, np.asarray(x, dtype=float)
 
     def _cdf(self, t, y):
-        m = np.asarray(self.mean_fn(t), dtype=float)
-        s = np.asarray(self.sd_fn(t), dtype=float)
+        """P(Y <= y | X = t): one row per node t, each row the shape of the level array y."""
+        t = np.asarray(t, dtype=float)
+        m, s = (np.asarray(f(t), dtype=float).reshape(t.shape + (1,) * y.ndim) for f in (self.mean_fn, self.sd_fn))
         return ndtr((y - m) / s)
 
     def g_mean(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.column_stack([self._cdf(t, y) for y in self.y_grid])
+        return self._cdf(t, np.asarray(self.y_grid, dtype=float))
 
     def g_cross(self, t):
-        t = np.asarray(t, dtype=float)
         y = np.asarray(self.y_grid, dtype=float)
-        ymin = np.minimum(y[:, None], y[None, :])
-        out = np.empty((t.size, y.size, y.size))
-        for l in range(y.size):
-            for m in range(y.size):
-                out[:, l, m] = self._cdf(t, ymin[l, m])
-        return out
+        return self._cdf(t, np.minimum.outer(y, y))  # E[1(Y <= y_l) 1(Y <= y_m)] = F(min(y_l, y_m))
 
 
 # ---------------------------------------------------------------------------
@@ -340,44 +336,32 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     """Discretize the localized family on the grid; covariance by quadrature."""
     if n < 3:
         raise ValueError("sample size must be at least 3")
-    h = float(scn.bandwidth_rule(n))
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    try:
+        h = float(scn.bandwidth_rule(n))
+    except OverflowError:  # a bandwidth past the largest float
+        h = math.inf
+    if not 0 < h < math.inf:
+        raise CovarianceError(f"bandwidth h = {h} at n = {n} is not a positive finite number")
     kern = scn.kernel
     law = scn.family.x_law
     xg = np.asarray(scn.x_grid, dtype=float)
     nx, L = xg.size, scn.family.g_count
     lo_s, hi_s = law.support
 
-    def window(a, b):
-        """Part of the support where both k((t - a)/h) and k((t - b)/h) can be nonzero."""
-        if math.isinf(kern.window):
-            return lo_s, hi_s
-        return max(max(a, b) - kern.window * h, lo_s), min(min(a, b) + kern.window * h, hi_s)
-
-    # first moments E[g_l(Y) k((X - x_j)/h)]
+    # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments
+    # E[g_l g_m k_j k_k], panel by panel between the window edges: on each
+    # panel every kernel is smooth (the Epanechnikov kernel a polynomial)
+    edges = np.concatenate([[lo_s, hi_s], xg - kern.window * h, xg + kern.window * h])
+    breaks = np.unique(np.clip(edges, lo_s, hi_s))
     means = np.zeros((nx, L))
-    for j, x in enumerate(xg):
-        lo, hi = window(x, x)
-        if hi <= lo:
-            continue
-        t, w = gauss_legendre_rule(lo, hi)
-        kv = kern((t - x) / h) * law.density(t)
-        means[j] = w[None, :] @ (kv[:, None] * scn.family.g_mean(t))
-
-    # raw second moments E[g_l g_m k_j k_k] for every grid pair
     raw = np.zeros((nx, L, nx, L))
-    for j in range(nx):
-        for k in range(j, nx):
-            lo, hi = window(xg[j], xg[k])
-            if hi <= lo:
-                continue
-            t, w = gauss_legendre_rule(lo, hi)
-            kk = kern((t - xg[j]) / h) * kern((t - xg[k]) / h) * law.density(t)
-            cross = scn.family.g_cross(t)  # (nt, L, L)
-            block = np.einsum("t,tlm->lm", w * kk, cross)
-            raw[j, :, k, :] = block
-            raw[k, :, j, :] = block.T
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        t, w = gauss_legendre_rule(lo, hi)
+        kv = kern((t[:, None] - xg[None, :]) / h)  # (nodes, nx)
+        wk = (w * law.density(t))[:, None] * kv
+        means += wk.T @ scn.family.g_mean(t)
+        weighted = wk[:, :, None, None] * scn.family.g_cross(t)[:, None]  # (nodes, nx, L, L)
+        raw += np.tensordot(weighted, kv, axes=(0, 0)).transpose(0, 1, 3, 2)
 
     variances = (np.einsum("jljl->jl", raw) - means**2) / h
     if scn.normalization == "studentized":
@@ -588,7 +572,10 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     """Series design: alpha functionals, noise matrix, grid covariance (rank <= K)."""
     if n < 3:
         raise ValueError("sample size must be at least 3")
-    K = int(scn.K_rule(n))
+    try:
+        K = int(scn.K_rule(n))
+    except OverflowError:  # an order past the largest float
+        K = math.inf
     if K < 1:
         raise ValueError("basis order must be at least 1")
     if K > MAX_BASIS_ORDER:

@@ -16,15 +16,22 @@ import numpy as np
 from scipy.special import ndtr
 
 
-def smooth_max(x, beta: float) -> float:
-    """Stable log-sum-exp smooth maximum beta^{-1} log sum_j e^{beta x_j}."""
-    x = np.asarray(x, dtype=float)
+def smooth_max(x, beta: float):
+    """Stable log-sum-exp smooth maximum beta^{-1} log sum_j e^{beta x_j}.
+
+    Reduces over the last axis: a float for a vector, one value per row for a
+    (rows, p) array.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:
         raise ValueError("input vector must be nonempty")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    m = float(x.max())
-    return m + math.log(float(np.exp(beta * (x - m)).sum())) / beta
+    m = x.max(axis=-1)
+    total = np.exp(beta * (x - m[..., None])).sum(axis=-1)
+    if x.ndim == 1:  # math.log: np.log differs from it in the last bit on some inputs
+        return float(m) + math.log(float(total)) / beta
+    return m + np.log(total) / beta
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,8 @@ class TestScenarioContract:
             ("rate", {"type": "series_mean", "k_scale": 0}, "scenario.k_scale"),
             ("anticoncentration", {"type": "series_quantile", "tau_grid": [0.0, 0.5]}, "scenario.tau_grid"),
             ("rate", {"type": "kernel_density", "law_params": {"a": -1}}, "scenario.law_params"),
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": "a"}, "scenario.bandwidth_power"),
+            ("anticoncentration", {"type": "series_mean", "k_power": "a"}, "scenario.k_power"),
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
@@ -259,8 +261,14 @@ class TestScenarioContract:
             # K = ceil(1.9 * 14^1.9) = 287 basis functions, more than the 256 quadrature nodes resolve
             ("anticoncentration", {"type": "series_quantile", "k_power": 1.9, "k_scale": 1.9},
              {"n": 14, "replications": 5}, "K = 287 exceeds 128"),
+            # n^-400 underflows to h = 0 and n^400 overflows to h = inf at n = 200
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 400}, None, "bandwidth h = 0.0"),
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": -400}, None, "bandwidth h = inf"),
+            ("anticoncentration", {"type": "series_mean", "k_power": 200}, None, "K = inf exceeds 128"),
+            ("anticoncentration", {"type": "series_quantile", "k_power": 200}, None, "K = inf exceeds 128"),
         ],
-        ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap"],
+        ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap", "bandwidth_underflow",
+             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow"],
     )
     def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
         assert run_cli(tmp_path, subcommand, scenario, params) == 3

@@ -15,6 +15,7 @@ bounds = st.floats(-0.5, 1.5)
 scales = st.one_of(st.floats(-1.0, 2.0), st.just(0))
 grid_points = st.integers(-1, 10)
 normalization = st.sampled_from(["studentized", "unit", "nope"])
+exponents = st.one_of(st.floats(-3.0, 60.0), st.just("a"))
 
 KERNEL = {
     "data_law": st.sampled_from(["uniform", "beta", "truncnorm", "nope", 3]),
@@ -27,7 +28,7 @@ KERNEL = {
     "grid_points": grid_points,
     "grid_lo": bounds,
     "grid_hi": bounds,
-    "bandwidth_power": st.floats(0.0, 0.5),
+    "bandwidth_power": exponents,
     "bandwidth_scale": scales,
 }
 SERIES = {
@@ -36,7 +37,7 @@ SERIES = {
     "grid_points": grid_points,
     "grid_lo": bounds,
     "grid_hi": bounds,
-    "k_power": st.floats(0.0, 2.0),
+    "k_power": exponents,
     "k_scale": scales,
 }
 

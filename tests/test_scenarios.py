@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from supgauss.simulate import RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
 from supgauss.scenarios import (
@@ -70,6 +71,45 @@ class TestKernelDesign:
             # mean-centering term h p(x)^2 plus an O(h^2) smoothing bias
             px = law.density(np.array([x]))[0]
             assert abs(d.variances[j, 0] - px * EPA_L2) <= 1.05 * h * px**2 + 0.1 * h
+
+    def test_full_covariance_against_adaptive_quadrature(self):
+        # every entry, off-diagonal cross moments included, of an Epanechnikov
+        # x Beta(2,2) design: overlapping neighbours and disjoint far pairs
+        scn = kernel_density_scenario(
+            grid_points=6, grid_lo=0.2, grid_hi=0.8, bandwidth_power=0.0, bandwidth_scale=0.15, normalization="unit",
+        )
+        d = design_kernel(scn, 500)
+        h, x, kern, dens = d.h, np.asarray(scn.x_grid), scn.kernel, scn.family.x_law.density
+
+        def integral(a, b, power):
+            lo, hi = max(a, b) - h, min(a, b) + h
+            if hi <= lo:
+                return 0.0
+            f = lambda t: float(kern((t - a) / h) * kern((t - b) / h) ** power * dens(np.array([t]))[0])
+            return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        means = np.array([integral(a, a, 0) for a in x])
+        raw = np.array([[integral(a, b, 1) for b in x] for a in x])
+        sigma = (raw - np.outer(means, means)) / h
+        assert np.any(raw[0] == 0.0) and np.all(np.diag(raw, 1) > 0)
+        np.testing.assert_allclose(d.means.ravel(), means, rtol=1e-12)
+        np.testing.assert_allclose(d.cov.sigma, sigma, rtol=1e-12)
+
+    def test_singular_density_against_adaptive_quadrature(self):
+        # Beta(0.7, 1.5) density is unbounded at 0, inside the window of the
+        # first grid points; panels between window edges keep the error small
+        scn = kernel_density_scenario(law_params={"a": 0.7, "b": 1.5})
+        d = design_kernel(scn, 500)
+        h, x, kern, dens = d.h, np.asarray(scn.x_grid), scn.kernel, scn.family.x_law.density
+
+        def integral(a, power):
+            f = lambda t: float(kern((t - a) / h) ** power * dens(np.array([t]))[0])
+            return integrate.quad(f, max(a - h, 0.0), min(a + h, 1.0), epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+        means = np.array([integral(a, 1) for a in x])
+        variances = (np.array([integral(a, 2) for a in x]) - means**2) / h
+        np.testing.assert_allclose(d.means.ravel(), means, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(d.variances.ravel(), variances, rtol=0, atol=1e-5)
 
     def test_disjoint_supports_zero_raw_cross_moment(self):
         # compact kernel, grid points farther than 2h apart: the off-diagonal
@@ -387,6 +427,24 @@ class TestCondCdfFamily:
         # E[1(Y<=y1) 1(Y<=y2)] = F(min(y1, y2))
         assert gc[0, 0, 1] == pytest.approx(norm.cdf(-0.5))
         assert gc[0, 1, 1] == pytest.approx(norm.cdf(0.5))
+
+    def test_moments_equal_per_level_loop(self):
+        from scipy.special import ndtr
+
+        from supgauss.scenarios import CondCdfFamily
+
+        y = np.array([-1.0, -0.2, 0.4, 1.5])
+        fam = CondCdfFamily(
+            x_law=Uniform01(), mean_fn=lambda x: np.sin(3.0 * np.asarray(x)),
+            sd_fn=lambda x: 0.5 + np.asarray(x), y_grid=y,
+        )
+        t = np.linspace(0.0, 1.0, 7)
+        m, s = np.sin(3.0 * t), 0.5 + t
+        gm, gc = fam.g_mean(t), fam.g_cross(t)
+        for l in range(y.size):
+            np.testing.assert_array_equal(gm[:, l], ndtr((y[l] - m) / s))
+            for k in range(y.size):
+                np.testing.assert_array_equal(gc[:, l, k], ndtr((min(y[l], y[k]) - m) / s))
 
     def test_kernel_class_with_cdf_family_builds(self):
         from supgauss.scenarios import CondCdfFamily

@@ -47,6 +47,16 @@ class TestSmoothMax:
         assert smooth_max(x, 1.7) == pytest.approx(smooth_max(x[::-1], 1.7), abs=1e-12)
         assert smooth_max(x + 3.25, 1.7) == pytest.approx(smooth_max(x, 1.7) + 3.25, abs=1e-10)
 
+    def test_rows_of_a_matrix_match_vector_calls(self):
+        gen = np.random.default_rng(23)
+        for p in (1, 5, 300):
+            x = gen.standard_normal((40, p)) * 3.0
+            for beta in (0.05, 1.7, 80.0):
+                rows = smooth_max(x, beta)
+                assert rows.shape == (40,)
+                np.testing.assert_allclose(rows, [smooth_max(r, beta) for r in x], rtol=1e-14, atol=1e-14)
+        assert isinstance(smooth_max(np.zeros(3), 1.0), float)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             smooth_max([], 1.0)
