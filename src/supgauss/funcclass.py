@@ -59,8 +59,8 @@ class DiscretizedClass:
     centered: bool = False
     vc_meta: tuple[float, float] | None = None  # (A, v)
     # optional fast path: column_sums(batch) == evaluate(batch).sum(axis=0)
-    # up to float reassociation; sum_columns uses it to avoid materializing
-    # the full (n, N) value matrix
+    # within 1e-12 of each column's sum of |summands|; sum_columns uses it to
+    # avoid materializing the full (n, N) value matrix
     column_sums: callable | None = None
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.special import eval_legendre, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .funcclass import DiscretizedClass
 from .simulate import CovarianceError, CovarianceModel, RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
@@ -347,6 +347,9 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     xg = np.asarray(scn.x_grid, dtype=float)
     nx, L = xg.size, scn.family.g_count
     lo_s, hi_s = law.support
+    collapsed = (xg - kern.window * h == xg) | (xg + kern.window * h == xg)
+    if np.any(collapsed):
+        raise CovarianceError(f"bandwidth h = {h} at n = {n} is below the float spacing at grid point {xg[collapsed][0]}")
 
     # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments
     # E[g_l g_m k_j k_k], panel by panel between the window edges: on each
@@ -390,23 +393,26 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         prod = kv[:, :, None] * g[:, None, :]  # (n, nx, L)
         return (prod.reshape(x.size, -1) - flat_m[None, :]) * scale[None, :]
 
-    if math.isinf(kern.window):
-        column_sums = None
+    if not isinstance(kern, Epanechnikov):
+        column_sums = None  # sum_columns takes the dense path
     else:
-        # compact support: sum kernel values over the sorted window of each
-        # grid point instead of materializing the (n, nx * L) matrix
+        # Epanechnikov: every point of a panel lies in the same windows, and with
+        # u = (x - mid)/h, d = (mid - x_j)/h the kernel is 0.75((1 - d^2) - 2d u - u^2),
+        # so each window sum is a fixed combination of the panel moments of g, g u
+        # and g u^2 (about the panel midpoint, which keeps the sums well conditioned)
+        mid = 0.5 * (breaks[:-1] + breaks[1:])
+        d = (mid[None, :] - xg[:, None]) / h  # (nx, panels)
+        inside = np.abs(d) < 1.0
+        A = [np.where(inside, 1.0 - d * d, 0.0), np.where(inside, -2.0 * d, 0.0), -inside.astype(float)]
+
         def column_sums(batch):
             g, x = family.g_values(batch)
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            gs = g[order]
-            out = np.empty(nx * L)
-            for j, xj in enumerate(xg):
-                lo = np.searchsorted(xs, xj - kern.window * h, side="left")
-                hi = np.searchsorted(xs, xj + kern.window * h, side="right")
-                kv = kern((xs[lo:hi] - xj) / h)
-                out[j * L : (j + 1) * L] = kv @ gs[lo:hi]
-            return (out - x.size * flat_m) * scale
+            p = np.clip(np.searchsorted(breaks, x) - 1, 0, mid.size - 1)  # support ends join the end panels
+            cell = (p[:, None] * L + np.arange(L)).ravel()
+            u = ((x - mid[p]) / h)[:, None]
+            M = [np.bincount(cell, (g * u**k).ravel(), mid.size * L).reshape(-1, L) for k in range(3)]
+            out = 0.75 * sum(a @ m for a, m in zip(A, M))
+            return (out.reshape(-1) - x.size * flat_m) * scale
 
     if g_sup is not None:
         env_const = float(np.max(flat_c * (kern.sup * g_sup + np.abs(flat_m))) / math.sqrt(h))
@@ -443,10 +449,10 @@ def fourier_trig_basis(K: int):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((x.size, K))
         out[:, 0] = 1.0
-        for c in range(1, K):
-            freq = (c + 1) // 2
-            arg = 2.0 * math.pi * freq * x
-            out[:, c] = math.sqrt(2.0) * (np.cos(arg) if c % 2 == 1 else np.sin(arg))
+        # exp(2 pi i f x) for f = 1 .. K // 2 as powers of one complex exponential
+        z = np.cumprod(np.repeat(np.exp(2j * math.pi * x)[:, None], K // 2, axis=1), axis=1)
+        out[:, 1::2] = math.sqrt(2.0) * z.real
+        out[:, 2::2] = math.sqrt(2.0) * z.imag[:, : (K - 1) // 2]
         return out
 
     return psi
@@ -460,7 +466,11 @@ def legendre_basis(K: int):
     def psi(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = 2.0 * x - 1.0
-        return np.column_stack([math.sqrt(2 * k + 1) * eval_legendre(k, z) for k in range(K)])
+        P = np.empty((K, x.size))
+        P[0], P[1:2] = 1.0, z
+        for k in range(1, K - 1):  # (k + 1) P_{k+1} = (2k + 1) z P_k - k P_{k-1}
+            P[k + 1] = ((2 * k + 1) * z * P[k] - k * P[k - 1]) / (k + 1)
+        return P.T * np.sqrt(2.0 * np.arange(K) + 1.0)
 
     return psi
 

@@ -257,7 +257,7 @@ class TestScenarioContract:
         [
             ("bands", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.001}},
              None, "zero variance"),
-            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 40}, None, "zero variance"),
+            ("anticoncentration", {"type": "kernel_density", "bandwidth_power": 40}, None, "below the float spacing at grid point 0.1"),
             # K = ceil(1.9 * 14^1.9) = 287 basis functions, more than the 256 quadrature nodes resolve
             ("anticoncentration", {"type": "series_quantile", "k_power": 1.9, "k_scale": 1.9},
              {"n": 14, "replications": 5}, "K = 287 exceeds 128"),

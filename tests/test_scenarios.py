@@ -9,9 +9,12 @@ from scipy import integrate
 from supgauss.simulate import RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
 from supgauss.scenarios import (
     BASES,
+    BetaLaw,
+    CondCdfFamily,
     Epanechnikov,
     GaussianKernel,
     KernelScenario,
+    RegressionFamily,
     SeriesScenario,
     Uniform01,
     design,
@@ -159,13 +162,6 @@ class TestKernelDesign:
         np.testing.assert_allclose(np.diag(d.cov.sigma), 1.0, atol=1e-6)
         assert d.cls.column_sums is None  # unbounded support: dense path
 
-    def test_column_sums_fast_path_matches_dense(self):
-        scn = kernel_density_scenario(grid_points=32)
-        d = design_kernel(scn, 1000)
-        batch = scn.family.sample(RngPolicy(44).stream_of(0), 1000)
-        dense = d.cls.evaluate(batch).sum(axis=0)
-        np.testing.assert_allclose(d.cls.column_sums(batch), dense, rtol=1e-9, atol=1e-9)
-
 
 class TestSeriesDesign:
     def test_k1_collapse(self):
@@ -250,20 +246,6 @@ class TestSeriesDesign:
         assert d.Omega.shape == (5, 5)
         assert d.cov.dim == 10
 
-    def test_column_sums_fast_paths_match_dense(self):
-        mean_d = design_series(series_mean_scenario(grid_points=16), 500)
-        batch = mean_d.sampler(RngPolicy(45).stream_of(0), 500)
-        dense = mean_d.cls.evaluate(batch).sum(axis=0)
-        np.testing.assert_allclose(mean_d.cls.column_sums(batch), dense, rtol=1e-10, atol=1e-10)
-        qscn = SeriesScenario(
-            basis="fourier_trig", K_rule=lambda n: 4,
-            x_grid=np.linspace(0, 1, 8), noise_model="quantile", tau_grid=np.array([0.3, 0.6]),
-        )
-        qd = design_series(qscn, 400)
-        qbatch = qd.sampler(RngPolicy(46).stream_of(0), 400)
-        qdense = qd.cls.evaluate(qbatch).sum(axis=0)
-        np.testing.assert_allclose(qd.cls.column_sums(qbatch), qdense, rtol=1e-10, atol=1e-10)
-
 
 def _quantile_scenario():
     return SeriesScenario(
@@ -307,6 +289,69 @@ class TestDesignSurface:
         np.testing.assert_array_equal(d.index_grid, np.repeat(np.linspace(0, 1, 6), 3))
 
 
+def _kernel_family_scenario(family):
+    return KernelScenario(
+        kernel=Epanechnikov(), bandwidth_rule=lambda n: float(n) ** -0.2,
+        x_grid=np.linspace(0.1, 0.9, 16), family=family,
+    )
+
+
+def _regression_kernel_scenario():
+    return _kernel_family_scenario(RegressionFamily(
+        x_law=BetaLaw(), mean_fn=lambda x: np.sin(4.0 * np.asarray(x)), sd_fn=lambda x: 0.5 + np.asarray(x),
+    ))
+
+
+def _cond_cdf_kernel_scenario():
+    return _kernel_family_scenario(CondCdfFamily(
+        x_law=BetaLaw(), mean_fn=lambda x: np.asarray(x, dtype=float), sd_fn=lambda x: 0.5 + 0.0 * np.asarray(x),
+        y_grid=np.linspace(-0.5, 1.5, 5),
+    ))
+
+
+FAST_PATH_SCENARIOS = {
+    "kernel_density": lambda: kernel_density_scenario(grid_points=16),
+    "kernel_regression": _regression_kernel_scenario,
+    "kernel_cond_cdf": _cond_cdf_kernel_scenario,
+    **{
+        f"{basis}_{noise}": (lambda basis=basis, noise=noise: SeriesScenario(
+            basis=basis, K_rule=lambda n: math.ceil(n ** (1.0 / 3.0)), x_grid=np.linspace(0, 1, 16), noise_model=noise,
+        ))
+        for basis in BASES for noise in ("mean", "quantile")
+    },
+}
+# |sum_columns - evaluate().sum(0)| per column, relative to the column's sum of |summands|
+FAST_PATH_RTOL = 1e-12
+
+
+def _hand_built_x(d, gen):
+    """Ties, both support ends, and for kernel designs every window edge x_j +/- h."""
+    xg = np.asarray(d.scenario.x_grid, dtype=float)
+    edges = np.concatenate([xg - d.h, xg + d.h]) if isinstance(d.scenario, KernelScenario) else xg
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    ties = np.repeat(gen.random(4), 5)
+    return np.concatenate([edges, ties, [0.0, 0.0, 1.0, 1.0], xg])
+
+
+class TestFastPaths:
+    """Every column-sum fast path agrees with the reference evaluate(batch).sum(0)."""
+
+    @pytest.mark.parametrize("batch_kind", ["drawn", "hand_built"])
+    @pytest.mark.parametrize("n", [3, 500, 8000])
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_SCENARIOS))
+    def test_sum_columns_matches_dense(self, name, n, batch_kind):
+        d = design(FAST_PATH_SCENARIOS[name](), n)
+        gen = RngPolicy(48).stream_of(n)
+        batch = d.sampler(gen, n)
+        if batch_kind == "hand_built":
+            x = _hand_built_x(d, gen)
+            draw = d.sampler(gen, x.size)
+            batch = x if isinstance(draw, np.ndarray) else (draw[0], x)
+        values = d.cls.evaluate(batch)
+        err = np.abs(d.cls.sum_columns(batch) - values.sum(axis=0))
+        assert np.all(err <= FAST_PATH_RTOL * np.abs(values).sum(axis=0))
+
+
 class TestBases:
     def test_fourier_constant_norm_odd_K(self):
         psi = BASES["fourier_trig"](7)
@@ -325,6 +370,26 @@ class TestBases:
         vals = [xi_n(scn, K) for K in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == 1.0
+
+    # the recurrences against the closed forms, within 1e-12 of each column's
+    # sup norm (sqrt 2 for Fourier, sqrt(2k + 1) for Legendre degree k)
+    @pytest.mark.parametrize("K", [1, 2, 20, 128])
+    def test_fourier_matches_cos_sin(self, K):
+        x = np.concatenate([np.linspace(0, 1, 8001), RngPolicy(49).stream_of(K).random(8000)])
+        freq = (np.arange(K) + 1) // 2
+        arg = 2.0 * math.pi * freq * x[:, None]
+        want = np.where(np.arange(K) % 2 == 1, math.sqrt(2.0) * np.cos(arg), math.sqrt(2.0) * np.sin(arg))
+        want[:, 0] = 1.0
+        assert np.abs(BASES["fourier_trig"](K)(x) - want).max() <= 1e-12 * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 20, 128])
+    def test_legendre_matches_eval_legendre(self, K):
+        from scipy.special import eval_legendre
+
+        x = np.concatenate([np.linspace(0, 1, 8001), RngPolicy(50).stream_of(K).random(8000)])
+        sup = np.sqrt(2.0 * np.arange(K) + 1.0)
+        want = np.column_stack([sup[k] * eval_legendre(k, 2.0 * x - 1.0) for k in range(K)])
+        assert np.all(np.abs(BASES["legendre"](K)(x) - want).max(axis=0) <= 1e-12 * sup)
 
     def test_bspline_partition_of_unity(self):
         psi = BASES["bspline"](8)
