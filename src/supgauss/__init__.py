@@ -54,7 +54,6 @@ from .simulate import (
     RngPolicy,
     SupSample,
     empirical_sup_sample,
-    gaussian_covariance,
     gaussian_sup_sample,
     ks_distance,
     levy_concentration,

@@ -127,7 +127,7 @@ def coverage_experiment(
         c_alpha=c_alpha,
         inner_replications=R_inner,
     )
-    # the returned band: replication 0 redrawn from its stream
+    # the returned band: replication 0, the first draw of block 0's stream, redrawn
     dev = d.cls.sum_columns(d.sampler(rng.stream_of(0), n)) / math.sqrt(n)
     estimate = d.estimator_mean + d.sigma_hat_sd * dev
     band = build_band(estimate, d.sigma_hat_sd, c_alpha, side=side, x_grid=d.index_grid, alpha=alpha)

@@ -1,8 +1,9 @@
 """Monte Carlo engine: suprema of empirical processes and their Gaussian analogues.
 
-Replications are driven by counter-based RNG streams so that results are
-byte-identical for a given master seed regardless of execution order or
-worker count.
+Replications run in fixed-size blocks, one counter-based RNG stream per block
+(``GAUSS_BLOCK`` Gaussian or ``EMP_BLOCK`` empirical replications, drawn one
+after another from the block's stream), so that results are byte-identical for
+a given master seed regardless of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcclass import DiscreteMeasure, DiscretizedClass
+from .funcclass import DiscretizedClass
 
 _MASK64 = (1 << 64) - 1
-# Replication indices live in the low 48 bits of the second key word; the
+# Block indices live in the low 48 bits of the second key word; the
 # salt occupies the high 16 bits so differently-salted policies never collide.
 _SALT_SHIFT = 48
 _INDEX_MASK = (1 << _SALT_SHIFT) - 1
+# Replications per block, hence per stream. Fixed, never derived from the
+# thread cap: the block shape decides the float results (a GEMM and a matvec
+# differ in the last bits), so it must not change with the worker count.
+GAUSS_BLOCK = 1024
+EMP_BLOCK = 8
 
 
 class CovarianceError(RuntimeError, ValueError):
@@ -30,9 +36,9 @@ class CovarianceError(RuntimeError, ValueError):
 class RngPolicy:
     """Counter-based stream derivation from a single 64-bit master seed.
 
-    ``stream_of(r)`` keys a Philox generator on ``(master_seed, salt<<48 | r)``,
-    so distinct replication indices give statistically independent streams and
-    the same ``(seed, salt, index)`` always reproduces the identical stream.
+    ``stream_of(b)`` keys a Philox generator on ``(master_seed, salt<<48 | b)``,
+    so distinct block indices give statistically independent streams and the
+    same ``(seed, salt, index)`` always reproduces the identical stream.
     """
 
     master_seed: int
@@ -127,24 +133,28 @@ class CovarianceModel:
         return CovarianceModel(self.sigma * a * a, self.factor * a, self.repair_shift * a * a)
 
 
-def _run_replications(worker, R: int, threads: int) -> np.ndarray:
-    """Fill results[r] = worker(r) for r in range(R), merging by index."""
+def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
+    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications; threads map over blocks."""
     out = np.empty(R)
-    if threads <= 1:
-        for r in range(R):
-            out[r] = worker(r)
-        return out
-    chunk = max(1, R // (8 * threads))
-    blocks = [(s, min(s + chunk, R)) for s in range(0, R, chunk)]
 
-    def run_block(block):
-        s, e = block
-        return s, [worker(r) for r in range(s, e)]
+    def run(b: int) -> None:
+        s = b * size
+        e = min(s + size, R)
+        out[s:e] = block_fn(b, e - s)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for s, vals in pool.map(run_block, blocks):
-            out[s : s + len(vals)] = vals
+    blocks = range(-(-R // size))
+    if threads <= 1 or len(blocks) <= 1:
+        for b in blocks:
+            run(b)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, blocks))
     return out
+
+
+def _sup(z: np.ndarray, absolute: bool) -> np.ndarray:
+    """Row-wise max_j z_j, or max_j |z_j|."""
+    return (np.abs(z) if absolute else z).max(axis=-1)
 
 
 def empirical_sup_sample(
@@ -170,46 +180,12 @@ def empirical_sup_sample(
         raise ValueError("the empirical supremum requires a centered class")
     root_n = math.sqrt(n)
 
-    def one(r: int) -> float:
-        z = cls.sum_columns(sampler(rng.stream_of(r), n)) / root_n
-        return float(np.abs(z).max() if absolute else z.max())
+    def block(b: int, m: int) -> list:
+        gen = rng.stream_of(b)
+        return [_sup(cls.sum_columns(sampler(gen, n)) / root_n, absolute) for _ in range(m)]
 
-    values = _run_replications(one, R, threads)
+    values = _run_blocks(block, R, EMP_BLOCK, threads)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=n)
-
-
-def gaussian_covariance(
-    cls: DiscretizedClass,
-    measure,
-    method: str = "quadrature",
-    reps: int = 10_000,
-    rng: RngPolicy | None = None,
-    sampler=None,
-) -> CovarianceModel:
-    """Covariance P(f_j f_k) - P f_j P f_k of the Gaussian analogue.
-
-    ``method="quadrature"`` expects ``measure`` to be a :class:`DiscreteMeasure`
-    (e.g. a quadrature rule); ``method="monte_carlo"`` estimates the moments
-    from ``reps`` draws of ``sampler``.
-    """
-    if method == "quadrature":
-        if not isinstance(measure, DiscreteMeasure):
-            raise ValueError("quadrature method requires a DiscreteMeasure")
-        vals = cls.evaluate(measure.points)
-        w = measure.weights
-        mean = w @ vals
-        sigma = (vals * w[:, None]).T @ vals - np.outer(mean, mean)
-    elif method == "monte_carlo":
-        if sampler is None or rng is None:
-            raise ValueError("monte_carlo method requires sampler and rng")
-        batch = sampler(rng.stream_of(0), reps)
-        vals = cls.evaluate(batch)
-        mean = vals.mean(axis=0)
-        centered = vals - mean
-        sigma = centered.T @ centered / reps
-    else:
-        raise ValueError(f"unknown covariance method: {method}")
-    return CovarianceModel.from_matrix(sigma)
 
 
 def gaussian_sup_sample(
@@ -225,15 +201,14 @@ def gaussian_sup_sample(
     With ``absolute=True`` the statistic is max_j |(L xi)_j|, i.e. the supremum
     over the class closed under negation.
     """
-    L = cov.factor
+    LT = cov.factor.T
     dim = cov.dim
 
-    def one(r: int) -> float:
-        xi = rng.stream_of(r).standard_normal(dim)
-        y = L @ xi
-        return float(np.abs(y).max() if absolute else y.max())
+    def block(b: int, m: int) -> np.ndarray:
+        # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
+        return _sup(rng.stream_of(b).standard_normal((m, dim)) @ LT, absolute)
 
-    values = _run_replications(one, R, threads)
+    values = _run_blocks(block, R, GAUSS_BLOCK, threads)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=0)
 
 

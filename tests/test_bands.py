@@ -7,7 +7,14 @@ import pytest
 
 from supgauss.bands import build_band, coverage_experiment, critical_value
 from supgauss.scenarios import design, kernel_density_scenario, series_mean_scenario
-from supgauss.simulate import CovarianceModel, RngPolicy, SupSample, empirical_sup_sample, gaussian_sup_sample
+from supgauss.simulate import (
+    EMP_BLOCK,
+    CovarianceModel,
+    RngPolicy,
+    SupSample,
+    empirical_sup_sample,
+    gaussian_sup_sample,
+)
 
 
 class TestCriticalValue:
@@ -156,7 +163,9 @@ class TestCoverage:
         # the same count as bands built from each replication's estimate that contain E S_n
         hits = 0
         for r in range(R_outer):
-            dev = d.cls.sum_columns(d.sampler(rng.stream_of(r), n)) / math.sqrt(n)
+            if r % EMP_BLOCK == 0:  # replication r is draw r % EMP_BLOCK of stream_of(r // EMP_BLOCK)
+                gen = rng.stream_of(r // EMP_BLOCK)
+            dev = d.cls.sum_columns(d.sampler(gen, n)) / math.sqrt(n)
             band = build_band(d.estimator_mean + d.sigma_hat_sd * dev, d.sigma_hat_sd, report.c_alpha, side=side)
             hits += band.contains(d.estimator_mean)
         assert report.empirical == hits / R_outer

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from supgauss.funcclass import DiscreteMeasure, DiscretizedClass
+from supgauss.bands import coverage_experiment
+from supgauss.funcclass import DiscretizedClass
+from supgauss.scenarios import design, kernel_density_scenario
 from supgauss.simulate import (
+    EMP_BLOCK,
+    GAUSS_BLOCK,
     CovarianceError,
     CovarianceModel,
     RngPolicy,
     SupSample,
     empirical_sup_sample,
-    gaussian_covariance,
     gaussian_sup_sample,
     ks_distance,
     levy_concentration,
@@ -157,33 +160,6 @@ class TestEmpiricalSup:
         np.testing.assert_array_equal(runs[0].values, runs[2].values)
 
 
-class TestGaussianCovariance:
-    def test_single_centered_function(self):
-        pts = np.linspace(0.0005, 0.9995, 1000)
-        cls = centered_uniform_class()
-        q = DiscreteMeasure.uniform(pts)
-        cov = gaussian_covariance(cls, q)
-        assert cov.sigma[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-3)
-
-    def test_scaled_pair_rank_one(self):
-        cls = DiscretizedClass.from_functions(
-            [lambda x: np.asarray(x) - 0.5, lambda x: 2.0 * (np.asarray(x) - 0.5)],
-            lambda x: 2.0 * np.abs(np.asarray(x) - 0.5),
-            centered=True,
-        )
-        q = DiscreteMeasure.uniform(np.linspace(0.0005, 0.9995, 2000))
-        cov = gaussian_covariance(cls, q)
-        v = cov.sigma[0, 0]
-        np.testing.assert_allclose(cov.sigma, [[v, 2 * v], [2 * v, 4 * v]], rtol=1e-10)
-
-    def test_monte_carlo_method(self):
-        cls = centered_uniform_class()
-        cov = gaussian_covariance(
-            cls, None, method="monte_carlo", reps=200_000, rng=RngPolicy(31), sampler=lambda g, n: g.random(n)
-        )
-        assert cov.sigma[0, 0] == pytest.approx(1.0 / 12.0, rel=0.02)
-
-
 class TestGaussianSup:
     def test_one_dim_standard_normal(self):
         cov = CovarianceModel.from_matrix(np.array([[1.0]]))
@@ -210,13 +186,70 @@ class TestGaussianSup:
             scaled = base.scaled(c)
             s0 = gaussian_sup_sample(base, R=500, rng=RngPolicy(15))
             s1 = gaussian_sup_sample(scaled, R=500, rng=RngPolicy(15))
-            # powers of two scale exactly through the factor and the matvec
+            # powers of two scale exactly through the factor and the product
             np.testing.assert_array_equal(s1.values, c * s0.values)
 
     def test_absolute_mode(self):
         cov = CovarianceModel.from_matrix(np.array([[1.0]]))
         s = gaussian_sup_sample(cov, R=5000, rng=RngPolicy(16), absolute=True)
         assert np.all(s.values >= 0)
+
+
+def correlated_cov(dim: int = 24) -> CovarianceModel:
+    a = RngPolicy(90).stream_of(0).standard_normal((dim, dim))
+    return CovarianceModel.from_matrix(a @ a.T / dim + 0.1 * np.eye(dim))
+
+
+class TestBlockLayout:
+    """Replications run in fixed blocks; block b draws its replications in turn from stream_of(b)."""
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_gaussian_bytes_across_thread_caps(self, absolute):
+        cov = correlated_cov()
+        R = 2 * GAUSS_BLOCK + 37
+        runs = [gaussian_sup_sample(cov, R, RngPolicy(91), absolute=absolute, threads=t).values for t in (1, 2, 3)]
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+    def test_empirical_bytes_across_thread_caps(self):
+        cls = centered_uniform_class()
+        R = 2 * EMP_BLOCK + 3
+        runs = [
+            empirical_sup_sample(cls, lambda g, n: g.random(n), n=200, R=R, rng=RngPolicy(92), threads=t).values
+            for t in (1, 2, 3)
+        ]
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+    def test_gaussian_replications_are_successive_draws_of_block_stream(self):
+        cov = correlated_cov()
+        rng = RngPolicy(93)
+        R = GAUSS_BLOCK + 37
+        expected = []
+        for b, m in ((0, GAUSS_BLOCK), (1, 37)):
+            gen = rng.stream_of(b)
+            expected += [float((cov.factor @ gen.standard_normal(cov.dim)).max()) for _ in range(m)]
+        # sorting moves no value by more than the largest elementwise difference
+        np.testing.assert_allclose(gaussian_sup_sample(cov, R, rng).values, np.sort(expected), rtol=0, atol=1e-13)
+
+    def test_empirical_replications_are_successive_draws_of_block_stream(self):
+        cls = centered_uniform_class()
+        rng, n = RngPolicy(94), 100
+        expected = []
+        for b, m in ((0, EMP_BLOCK), (1, 3)):
+            gen = rng.stream_of(b)
+            expected += [float(cls.sum_columns(gen.random(n)).max() / math.sqrt(n)) for _ in range(m)]
+        s = empirical_sup_sample(cls, lambda g, k: g.random(k), n=n, R=EMP_BLOCK + 3, rng=rng)
+        np.testing.assert_array_equal(s.values, np.sort(expected))
+
+    def test_coverage_band_is_replication_zero(self):
+        scn = kernel_density_scenario(grid_points=8)
+        n, R_outer, rng = 300, 2 * EMP_BLOCK + 3, RngPolicy(95)
+        _, band = coverage_experiment(scn, alpha=0.2, n=n, R_outer=R_outer, R_inner=500, rng=rng)
+        d = design(scn, n)
+        emp = empirical_sup_sample(d.cls, d.sampler, n, R_outer, rng, absolute=True)
+        first = empirical_sup_sample(d.cls, d.sampler, n, 1, rng, absolute=True).values[0]
+        assert first in emp.values
+        band_sup = float(np.abs((band.estimate - d.estimator_mean) / d.sigma_hat_sd).max())
+        assert band_sup == pytest.approx(first, rel=1e-12)
 
 
 class TestKsDistance:
