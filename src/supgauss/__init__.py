@@ -16,23 +16,15 @@ from .bounds import (
     VcBudget,
     coupling_budget,
     crossover_sweep,
-    deviation_bound,
-    kolmogorov_conversion,
-    maximal_bound,
     stein_coupling_terms,
     vc_class_budget,
-    vc_maximal_bound,
     yurinskii_bound,
 )
 from .funcclass import (
-    CoveringReport,
     DiscreteMeasure,
     DiscretizedClass,
-    EntropyProfile,
     covering_number,
-    covering_report,
     entropy_integral,
-    entropy_profile,
     exhaustive_min_cover,
     product_class,
     vc_entropy_bound,

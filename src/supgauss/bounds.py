@@ -8,7 +8,7 @@ report carries traces back to a formula plus the constants used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class MomentInputs:
     """
 
     n: int
-    p_or_N: int
     sigma: float
     b: float  # envelope scale ||F||_{P,2} (and >= sigma)
     q: float
@@ -54,7 +53,6 @@ class MomentInputs:
     H_profile: callable
     phi_profile: callable
     tail_fn: callable
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 3:
@@ -243,44 +241,20 @@ class SteinCouplingTerms:
             if not math.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
-    @property
-    def threshold_thm41(self) -> float:
-        """Coupling threshold 2 beta^{-1} log p + 3 delta for the smooth-max bound."""
-        return 2.0 * math.log(max(self.p, 1)) / self.beta + 3.0 * self.delta
-
-    @property
-    def threshold_cor41(self) -> float:
-        """Coupling threshold 16 delta for the applied bound."""
-        return 16.0 * self.delta
-
-    @property
-    def prob_bound_thm41(self) -> float:
-        return min(max(self.prob_raw_thm, 0.0), 1.0)
-
-    @property
-    def prob_bound_cor41(self) -> float:
-        return min(max(self.prob_raw_cor, 0.0), 1.0)
-
 
 @dataclass(frozen=True)
 class AnalyticVectorMoments:
     """Analytic moment summaries for n independent p-vectors.
 
-    ``b3_tail(thr)`` and ``b4_tail(thr)`` return
-    sum_i E[max_j |X_ij|^3 1(max_j |X_ij| > thr)].
+    ``b3_tail(thr)`` returns sum_i E[max_j |X_ij|^3 1(max_j |X_ij| > thr)].
     """
 
     B1: float
     B2: float
     b3_tail: callable
-    b4_tail: callable | None = None
 
     def tail(self, thr: float) -> float:
         return float(self.b3_tail(thr))
-
-    def tail4(self, thr: float) -> float:
-        fn = self.b4_tail if self.b4_tail is not None else self.b3_tail
-        return float(fn(thr))
 
 
 @dataclass(frozen=True)
@@ -356,7 +330,7 @@ def stein_coupling_terms(
         B1 = vectors_moments.B1
         B2 = vectors_moments.B2
         B3 = vectors_moments.tail(thr3)
-        B4 = vectors_moments.tail4(thr4)
+        B4 = vectors_moments.tail(thr4)
     elif isinstance(vectors_moments, SampleVectorMoments):
         B1, B2, B3, B4 = _mc_vector_terms(vectors_moments, n, p, thr3, thr4)
         prov = Provenance("monte_carlo", seed=vectors_moments.rng.master_seed, reps=vectors_moments.reps)
@@ -380,61 +354,9 @@ def yurinskii_bound(p: int, delta: float, sum_third_moments: float) -> float:
     if p < 1 or delta <= 0 or sum_third_moments <= 0:
         raise ValueError("inputs must be positive")
     B0 = p * delta**-3 * sum_third_moments
+    if math.isinf(B0):
+        raise OverflowError(f"B0 = p delta^-3 sum E|X_i|^3 overflows a float at delta = {delta!r}")
     return B0 * (1.0 + abs(math.log(1.0 / B0)) / p)
-
-
-def deviation_bound(
-    EGn: float,
-    sigma: float,
-    M2: float,
-    Mq: float,
-    t: float,
-    alpha: float,
-    q: float,
-    n: int,
-    K_q: float = 1.0,
-) -> float:
-    """Level-(1 - t^{-q/2}) deviation bound for the supremum of an empirical process:
-
-        (1 + alpha) E||G_n|| + K_q [ (sigma + n^{-1/2} ||M||_q) sqrt(t)
-                                     + alpha^{-1} n^{-1/2} ||M||_2 t ].
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    root_n = math.sqrt(n)
-    return (1.0 + alpha) * EGn + K_q * ((sigma + Mq / root_n) * math.sqrt(t) + M2 * t / (alpha * root_n))
-
-
-def maximal_bound(J_delta: float, F_P2: float, M2: float, delta: float, n: int) -> float:
-    """Constant-free maximal-inequality shape J(d) ||F||_{P,2} + ||M||_2 J^2(d) / (d^2 sqrt n)."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    return J_delta * F_P2 + M2 * J_delta**2 / (delta**2 * math.sqrt(n))
-
-
-def vc_maximal_bound(sigma: float, F_P2: float, M2: float, A: float, v: float, n: int) -> float:
-    """VC specialization sqrt(v s^2 log(A ||F|| / s)) + v ||M||_2 log(A ||F|| / s) / sqrt n."""
-    if sigma <= 0 or F_P2 < sigma:
-        raise ValueError("requires 0 < sigma <= ||F||_{P,2}")
-    logterm = math.log(A * F_P2 / sigma)
-    if logterm <= 0:
-        raise ValueError("A ||F||_{P,2} / sigma must exceed 1")
-    return math.sqrt(v * sigma**2 * logterm) + v * M2 * logterm / math.sqrt(n)
-
-
-def kolmogorov_conversion(
-    r1: float,
-    r2: float,
-    E_Ztilde: float,
-    sigma_low: float,
-    C_sigma: float = 1.0,
-) -> float:
-    """Kolmogorov-distance bound C_s r1 (E[Z~] + sqrt(1 v log(s_low / r1))) + r2."""
-    if r1 <= 0 or not 0 <= r2 <= 1:
-        raise ValueError("requires r1 > 0 and r2 in [0, 1]")
-    return C_sigma * r1 * (E_Ztilde + math.sqrt(max(1.0, math.log(sigma_low / r1)))) + r2
 
 
 @dataclass(frozen=True)
@@ -466,7 +388,10 @@ def crossover_sweep(n_list, delta: float, b: float = 1.0, c_const: float = 1.0):
             b3_tail=lambda thr, c=coord, n_=n, b_=b: (b_**3 / math.sqrt(n_)) if c > thr else 0.0,
         )
         terms = stein_coupling_terms(moments, delta=delta, n=n, p=p, c_const=c_const)
-        yur = yurinskii_bound(p, delta, b**3 * p**1.5 / math.sqrt(n))
+        third = b**3 * p**1.5 / math.sqrt(n)
+        if third == 0.0:
+            raise FloatingPointError(f"b^3 p^1.5 / sqrt(n) underflows to 0 at b = {b!r}")
+        yur = yurinskii_bound(p, delta, third)
         rows.append(CrossoverRow(n=n, p=p, cor_bound=terms.prob_raw_cor, yurinskii=yur))
     crossover_n = None
     for row in rows:

@@ -69,10 +69,11 @@ class ConfigError:
 
 
 def _line_of(text: str, key: str) -> int | None:
-    probe = f'"{key.split(".")[-1]}"'
-    idx = text.find(probe)
-    if idx < 0:
-        return None
+    idx = 0
+    for part in key.split("."):  # each path component after the one before it
+        idx = text.find(f'"{part}"', idx)
+        if idx < 0:
+            return None
     return text.count("\n", 0, idx) + 1
 
 
@@ -107,36 +108,23 @@ def validate(config_text: str):
         err("scenario", "scenario must be an object")
         scenario = {}
 
-    for key in ("n", "n_inner"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 3):
-            err(f"params.{key}", "n must be an integer >= 3 (the coupling constructions assume n >= 3)")
     if "n_list" in params:
         ns = params["n_list"]
         if not isinstance(ns, list) or any((not isinstance(n, int)) or n < 3 for n in ns):
             err("params.n_list", "every n must be an integer >= 3 (the coupling constructions assume n >= 3)")
         elif len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
             err("params.n_list", "n_list must be strictly increasing with at least 3 entries")
-    for key in ("replications", "R_outer", "R_inner"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 1):
-            err(f"params.{key}", f"{key} must be a positive integer")
-    if "alpha" in params:
-        a = params["alpha"]
-        if not isinstance(a, (int, float)) or not 0 < a < 1:
-            err("params.alpha", "alpha must lie strictly between 0 and 1")
     if sub == "bands" and params.get("side", "two_sided") not in ("two_sided", "one_sided_lower"):
         err("params.side", "side must be 'two_sided' or 'one_sided_lower'")
     if sub == "bands" and params.get("target", "exact_centered") != "exact_centered":
         err("params.target", "the only coverage target is 'exact_centered'")
-    if "epsilons" in params:
-        eps = params["epsilons"]
-        if not isinstance(eps, list) or not eps or not all(_is_number(e) and e > 0 for e in eps):
-            err("params.epsilons", "epsilons must be a nonempty list of positive numbers")
-    if "beta" in params and "delta" in params:
-        if params["beta"] * params["delta"] <= 1:
-            err("params.beta", "beta * delta must exceed 1 (the smoothing tolerance needs alpha > 0)")
-    moments = params.get("moments", {})
-    if "sigma" in moments and "b" in moments and moments["sigma"] > moments["b"]:
-        err("params.moments.sigma", "sigma cannot exceed the envelope scale b")
+    for path, message in _rule_problems(params, {**PARAM_RULES["*"], **PARAM_RULES.get(str(sub), {})}, "params"):
+        err(path, message)
+    if _is_number(params.get("beta")) and _is_number(params.get("delta")) and params["beta"] * params["delta"] <= 1:
+        err("params.beta", "beta * delta must exceed 1 (the smoothing tolerance needs alpha > 0)")
+    if sub == "coupling-bounds":
+        for path, message in _moment_problems(params.get("moments")):
+            err(path, message)
     if scenario:
         for path, message in _scenario_problems(scenario, sub):
             err(path, message)
@@ -160,10 +148,80 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _int_from(lo: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
+_NUMBER = (_is_number, "a finite number")
+_N = (_int_from(3), "an integer >= 3 (the coupling constructions assume n >= 3)")
+_COUNT = (_int_from(1), "a positive integer")
+
+# key -> (check, what the value must be) for the params each subcommand reads; "*" holds for all
+PARAM_RULES = {
+    "*": {"n": _N, "n_inner": _N, "replications": _COUNT, "R_outer": _COUNT, "R_inner": _COUNT,
+          "alpha": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+          "epsilons": (lambda v: isinstance(v, list) and v and all(_is_number(e) and e > 0 for e in v),
+                       "a nonempty list of positive numbers"),
+          "beta": _POSITIVE, "delta": _POSITIVE},
+    "smoothmax-check": {"draws": (_int_from(0), "a nonnegative integer"),
+                        "deriv_draws": (_int_from(0), "a nonnegative integer"), "p_max": _COUNT},
+    "coupling-bounds": {"epsilon": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+                        "gamma": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+                        "K_q": _POSITIVE, "c_const": _POSITIVE, "C_log": _POSITIVE},
+    "coupling-crossover": {"b": _POSITIVE, "n_exponents": (
+        lambda v: isinstance(v, list) and v and all(_int_from(2)(e) and e <= 1023 for e in v),
+        "a nonempty list of integers from 2 to 1023 (n = 2^e must be at least 3 and a float)")},
+}
+MOMENT_RULES = {"sigma": _NONNEGATIVE, "b": _POSITIVE, "q": (lambda v: _is_number(v) and v >= 3, "a number >= 3"),
+                "M2": _NONNEGATIVE, "Mq": _NONNEGATIVE, "kappa": _POSITIVE, "EG_FF": _NONNEGATIVE, "n": _N,
+                "A": _POSITIVE, "v": _POSITIVE}
+# profile -> type -> rules of its (required) fields
+PROFILE_RULES = {"H": {"constant": {"value": _NUMBER}, "vc": {"A": _POSITIVE, "v": _NONNEGATIVE}},
+                 "tail": {"zero": {}, "bounded": {"ratio": _NUMBER}}}
+
+
+def _rule_problems(obj: dict, rules: dict, prefix: str, required=()) -> list[tuple[str, str]]:
+    """(path, message) for each key of obj that breaks its rule or is required and missing."""
+    problems = [(f"{prefix}.{key}", f"{key} is required") for key in required if key not in obj]
+    return problems + [(f"{prefix}.{key}", f"{key} must be {what}")
+                       for key, (ok, what) in rules.items() if key in obj and not ok(obj[key])]
+
+
+def _moment_problems(m) -> list[tuple[str, str]]:
+    """Type, range and cross-field checks of the coupling-bounds moment inputs."""
+    if not isinstance(m, dict):
+        return [("params.moments", "moments must be an object with at least sigma, b and q")]
+    problems = _rule_problems(m, MOMENT_RULES, "params.moments", required=("sigma", "b", "q"))
+    for key, kinds in PROFILE_RULES.items():
+        if key not in m:
+            continue
+        spec = m[key]
+        if not isinstance(spec, dict) or spec.get("type") not in tuple(kinds):
+            problems.append((f"params.moments.{key}.type", f"{key} must be an object of type {' or '.join(kinds)}"))
+        else:
+            rules = kinds[spec["type"]]
+            problems += _rule_problems(spec, rules, f"params.moments.{key}", required=tuple(rules))
+    phi = m.get("phi", {})
+    problems += (_rule_problems(phi, {"value": _NUMBER}, "params.moments.phi") if isinstance(phi, dict)
+                 else [("params.moments.phi", "phi must be an object")])
+    if problems:
+        return problems
+    if m["sigma"] > m["b"]:
+        problems.append(("params.moments.sigma", "sigma cannot exceed the envelope scale b"))
+    if m.get("M2", 0.0) > m.get("Mq", 0.0) + 1e-12:
+        problems.append(("params.moments.M2", "M2 cannot exceed Mq (||M||_2 <= ||M||_q for q >= 2)"))
+    if "A" in m and "v" in m and (m["sigma"] == 0 or m["q"] < 4 or m["A"] * m["b"] / m["sigma"] < math.e):
+        problems.append(("params.moments.A", "the VC-type budget (A and v given) needs sigma > 0, q >= 4 "
+                                             "and A b / sigma >= e"))
+    return problems
+
+
 def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
     """Cross-field checks of a scenario spec, as (path, message) pairs."""
     stype = scenario.get("type")
-    if stype not in GRID_DEFAULTS:
+    if stype not in tuple(GRID_DEFAULTS):  # a tuple, so an unhashable type such as a list cannot raise
         return [("scenario.type", f"unknown scenario type {stype!r}")]
     problems = []
     known = {"data_law": scn_mod.DATA_LAWS, "kernel": scn_mod.KERNELS, "basis": scn_mod.BASES,
@@ -350,25 +408,20 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
     if hspec["type"] == "constant":
         hval = max(float(hspec["value"]), math.log(n))
         H = lambda eps: hval
-    elif hspec["type"] == "vc":
+    else:  # "vc"; validate admits no other type
         A, v = float(hspec["A"]), float(hspec["v"])
         H = lambda eps: max(math.log(n), v * math.log(A / eps))
-    else:
-        raise ValueError(f"unknown H profile type: {hspec['type']}")
     pspec = m.get("phi", {"type": "constant", "value": 0.0})
     phi_val = float(pspec.get("value", 0.0))
     phi = lambda eps: phi_val
     tspec = m.get("tail", {"type": "zero"})
     if tspec["type"] == "zero":
         tail = lambda u: 0.0
-    elif tspec["type"] == "bounded":
-        ratio = float(tspec["ratio"])  # F / kappa, constant envelope case
+    else:  # "bounded": F / kappa, constant envelope case
+        ratio = float(tspec["ratio"])
         tail = lambda u: ratio**3 if ratio > u else 0.0
-    else:
-        raise ValueError(f"unknown tail type: {tspec['type']}")
     return bounds_mod.MomentInputs(
         n=n,
-        p_or_N=int(m.get("p_or_N", n)),
         sigma=float(m["sigma"]),
         b=float(m["b"]),
         q=float(m["q"]),
@@ -555,7 +608,7 @@ def run(config: RunConfig) -> int:
     started = time.time()
     try:
         lines, ok = RUNNERS[config.subcommand](config, outdir)
-    except (CovarianceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (CovarianceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         (outdir / "summary.txt").write_text(f"numerical failure: {exc}\n", encoding="utf-8")
         return 3
     wall = time.time() - started

@@ -8,7 +8,6 @@ expressed as fractions of the envelope norm ||F||_{Q,2}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,7 +23,6 @@ class DiscreteMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    measure_id: str = ""
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -37,10 +35,10 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def uniform(cls, points, measure_id: str = "uniform") -> "DiscreteMeasure":
+    def uniform(cls, points) -> "DiscreteMeasure":
         points = np.asarray(points)
         m = points.shape[0]
-        return cls(points, np.full(m, 1.0 / m), measure_id)
+        return cls(points, np.full(m, 1.0 / m))
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,6 @@ class DiscretizedClass:
     envelope: callable
     size: int
     centered: bool = False
-    vc_meta: tuple[float, float] | None = None  # (A, v)
     # optional fast path: column_sums(batch) == evaluate(batch).sum(axis=0)
     # within 1e-12 of each column's sum of |summands|; sum_columns uses it to
     # avoid materializing the full (n, N) value matrix
@@ -66,10 +63,6 @@ class DiscretizedClass:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("class must contain at least one function")
-        if self.vc_meta is not None:
-            A, v = self.vc_meta
-            if A < _E or v < 1:
-                raise ValueError("vc_meta requires A >= e and v >= 1")
 
     @classmethod
     def from_matrix(
@@ -109,82 +102,18 @@ class DiscretizedClass:
 
         return cls(evaluate=evaluate, envelope=envelope, size=len(funcs), **kwargs)
 
-    @classmethod
-    def from_csv(cls, path, **kwargs) -> "DiscretizedClass":
-        """Text matrix format: header row, one row per atom, last column envelope."""
-        with open(path, encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2:
-            raise ValueError("matrix file needs a header and at least one atom row")
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
-        if data.shape[1] < 2:
-            raise ValueError("matrix file needs at least one function column plus envelope")
-        return cls.from_matrix(data[:, :-1], data[:, -1], **kwargs)
-
     def sum_columns(self, batch) -> np.ndarray:
         """(N,) column sums of evaluate(batch), by the fast path when the class has one."""
         if self.column_sums is not None:
             return self.column_sums(batch)
         return self.evaluate(batch).sum(axis=0)
 
-    def atom_measure(self, n_atoms: int, weights=None, measure_id: str = "atoms") -> DiscreteMeasure:
+    def atom_measure(self, n_atoms: int, weights=None) -> DiscreteMeasure:
         """Measure over the first n_atoms row indices of a tabular class."""
         idx = np.arange(n_atoms)
         if weights is None:
-            return DiscreteMeasure.uniform(idx, measure_id)
-        return DiscreteMeasure(idx, weights, measure_id)
-
-    def envelope_violations(self, batch) -> int:
-        """Number of points where max_j |f_j| exceeds the envelope."""
-        vals = np.abs(self.evaluate(batch)).max(axis=1)
-        env = np.asarray(self.envelope(batch), dtype=float)
-        return int(np.sum(vals > env + 1e-12))
-
-    def vc_bound_violations(self, measure, epsilons) -> int:
-        """Number of tested epsilons where N(eps) exceeds (A/eps)^v.
-
-        Requires vc_meta; measured with the greedy covering number, which can
-        only over-count, so zero violations certifies the tagged bound on the
-        tested grid.
-        """
-        if self.vc_meta is None:
-            raise ValueError("class carries no vc_meta")
-        A, v = self.vc_meta
-        bad = 0
-        for eps in np.asarray(epsilons, dtype=float):
-            if covering_number(self, measure, eps) > (A / eps) ** v + 1e-9:
-                bad += 1
-        return bad
-
-
-@dataclass(frozen=True)
-class CoveringReport:
-    """Covering numbers over an epsilon grid under one discrete measure."""
-
-    epsilons: np.ndarray
-    counts: np.ndarray
-    measure_id: str
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        cnt = np.asarray(self.counts, dtype=int)
-        if np.any(np.diff(eps) <= 0):
-            raise ValueError("epsilon grid must be strictly increasing")
-        if np.any(np.diff(cnt) > 0):
-            raise ValueError("covering counts must be non-increasing in epsilon")
-        if np.any(cnt < 1):
-            raise ValueError("covering counts must be positive")
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "counts", cnt)
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    """Entropy-integral values J(delta) on a delta grid."""
-
-    delta_grid: np.ndarray
-    J_values: np.ndarray
-    source: str  # "empirical" or "vc_closed_form"
+            return DiscreteMeasure.uniform(idx)
+        return DiscreteMeasure(idx, weights)
 
 
 def _distance_geometry(cls: DiscretizedClass, measure: DiscreteMeasure):
@@ -255,25 +184,6 @@ def exhaustive_min_cover(cls: DiscretizedClass, measure: DiscreteMeasure, epsilo
     return n
 
 
-def covering_report(cls: DiscretizedClass, measure: DiscreteMeasure, epsilons) -> CoveringReport:
-    counts = [covering_number(cls, measure, e) for e in np.asarray(epsilons, dtype=float)]
-    return CoveringReport(np.asarray(epsilons, dtype=float), np.asarray(counts), measure.measure_id)
-
-
-def _entropy_integrand(cls: DiscretizedClass, measures, epsilons: np.ndarray) -> np.ndarray:
-    """max over measures of sqrt(1 + log N(eps)) on the epsilon grid."""
-    out = np.zeros_like(epsilons)
-    for q in measures:
-        counts = np.array([covering_number(cls, q, e) for e in epsilons], dtype=float)
-        out = np.maximum(out, np.sqrt(1.0 + np.log(counts)))
-    return out
-
-
-def _eps_grid(delta: float, points: int = 64) -> np.ndarray:
-    lo = min(1e-3, delta / 10)
-    return np.geomspace(lo, delta, points)
-
-
 def entropy_integral(cls: DiscretizedClass, delta: float, measures) -> float:
     """Quadrature value of int_0^delta max_Q sqrt(1 + log N(eps)) d eps.
 
@@ -287,31 +197,12 @@ def entropy_integral(cls: DiscretizedClass, delta: float, measures) -> float:
     measures = list(measures)
     if not measures:
         raise ValueError("at least one measure is required")
-    eps = _eps_grid(delta)
-    g = _entropy_integrand(cls, measures, eps)
+    eps = np.geomspace(min(1e-3, delta / 10), delta, 64)
+    g = np.zeros_like(eps)  # max over measures of sqrt(1 + log N(eps))
+    for q in measures:
+        counts = np.array([covering_number(cls, q, e) for e in eps], dtype=float)
+        g = np.maximum(g, np.sqrt(1.0 + np.log(counts)))
     return float(np.trapezoid(g, eps) + eps[0] * g[0])
-
-
-def entropy_profile(cls: DiscretizedClass, delta_grid, measures, points: int = 64) -> EntropyProfile:
-    """J(delta) on a grid, from one shared cumulative quadrature.
-
-    All deltas integrate the same piecewise-linear interpolant of the
-    (non-increasing) integrand, so the profile shape properties -- J
-    non-decreasing, J(delta)/delta non-increasing, J(c delta) <= c J(delta) --
-    hold exactly on the grid.
-    """
-    delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
-    if np.any(delta_grid <= 0) or delta_grid[-1] > 1:
-        raise ValueError("delta grid must lie in (0, 1]")
-    measures = list(measures)
-    if not measures:
-        raise ValueError("at least one measure is required")
-    eps = np.unique(np.concatenate([_eps_grid(delta_grid[-1], points), delta_grid]))
-    g = _entropy_integrand(cls, measures, eps)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(eps))])
-    head = eps[0] * g[0]
-    J = head + np.interp(delta_grid, eps, cum)
-    return EntropyProfile(delta_grid, J, source="empirical")
 
 
 def vc_entropy_bound(A: float, v: float, delta: float) -> float:

@@ -82,6 +82,9 @@ def epsilon_beta_delta(beta: float, delta: float) -> float:
     if beta <= 0 or delta <= 0:
         raise ValueError("beta and delta must be positive")
     alpha = beta * beta * delta * delta - 1.0
+    if alpha <= 0 and beta * delta > 1:
+        raise FloatingPointError(f"alpha = beta^2 delta^2 - 1 loses its sign in floats "
+                                 f"(beta = {beta!r}, delta = {delta!r})")
     if alpha <= 0:
         raise ValueError("alpha must be positive (requires beta * delta > 1)")
     return math.sqrt(math.exp(-alpha) * (1.0 + alpha))

@@ -11,12 +11,8 @@ from supgauss.bounds import (
     SampleVectorMoments,
     coupling_budget,
     crossover_sweep,
-    deviation_bound,
-    kolmogorov_conversion,
-    maximal_bound,
     stein_coupling_terms,
     vc_class_budget,
-    vc_maximal_bound,
     yurinskii_bound,
 )
 from supgauss.simulate import RngPolicy
@@ -25,7 +21,6 @@ from supgauss.simulate import RngPolicy
 def make_inputs(n=1000, q=4.0, sigma=0.8, b=1.0, M2=1.5, Mq=2.0, kappa=1.0, EG_FF=1.0, phi=0.0):
     return MomentInputs(
         n=n,
-        p_or_N=64,
         sigma=sigma,
         b=b,
         q=q,
@@ -41,7 +36,7 @@ def make_inputs(n=1000, q=4.0, sigma=0.8, b=1.0, M2=1.5, Mq=2.0, kappa=1.0, EG_F
 class TestCouplingBudget:
     def test_term_isolation(self):
         inputs = MomentInputs(
-            n=1000, p_or_N=8, sigma=0.0, b=1.0, q=4.0,
+            n=1000, sigma=0.0, b=1.0, q=4.0,
             M_norms={2: 0.0, 4.0: 0.0}, kappa=1e-12, EG_FF=0.0,
             H_profile=lambda eps: math.log(1000),
             phi_profile=lambda eps: 0.1,
@@ -83,7 +78,7 @@ class TestCouplingBudget:
             inputs = make_inputs(n=n)
             # hold H fixed across n so only the explicit n-powers move
             inputs = MomentInputs(
-                n=n, p_or_N=64, sigma=0.8, b=1.0, q=4.0, M_norms={2: 1.5, 4.0: 2.0},
+                n=n, sigma=0.8, b=1.0, q=4.0, M_norms={2: 1.5, 4.0: 2.0},
                 kappa=1.0, EG_FF=1.0,
                 H_profile=lambda eps: math.log(10_000),
                 phi_profile=lambda eps: 0.0,
@@ -94,7 +89,7 @@ class TestCouplingBudget:
 
     def test_tail_term(self):
         inputs = MomentInputs(
-            n=1000, p_or_N=8, sigma=0.5, b=1.0, q=4.0, M_norms={2: 1.0, 4.0: 1.0},
+            n=1000, sigma=0.5, b=1.0, q=4.0, M_norms={2: 1.0, 4.0: 1.0},
             kappa=0.5, EG_FF=0.2,
             H_profile=lambda eps: math.log(1000),
             phi_profile=lambda eps: 0.0,
@@ -106,7 +101,7 @@ class TestCouplingBudget:
 
     def test_rejects_q_below_3(self):
         inputs = MomentInputs(
-            n=100, p_or_N=4, sigma=0.5, b=1.0, q=2.5, M_norms={2: 1.0, 2.5: 1.0},
+            n=100, sigma=0.5, b=1.0, q=2.5, M_norms={2: 1.0, 2.5: 1.0},
             kappa=1.0, EG_FF=0.0,
             H_profile=lambda eps: math.log(100), phi_profile=lambda eps: 0.0, tail_fn=lambda u: 0.0,
         )
@@ -213,94 +208,6 @@ class TestYurinskii:
         assert crossover_n is not None and n_list[0] < crossover_n <= n_list[-1]
         # divergence at the top end: whole-vector bound blows up, maxima bound vanishes
         assert yur[-1] > 1.0 > cor[-1]
-
-
-class TestDeviationBound:
-    def test_noiseless_case(self):
-        for alpha in (0.5, 1.0, 3.0):
-            val = deviation_bound(EGn=2.0, sigma=0.0, M2=0.0, Mq=0.0, t=1.0, alpha=alpha, q=4.0, n=100)
-            assert val == pytest.approx((1 + alpha) * 2.0)
-
-    def test_exact_scaling_in_t(self):
-        base = dict(EGn=0.0, sigma=1.0, M2=1.0, Mq=1.0, alpha=1.0, q=4.0, n=100)
-        v1 = deviation_bound(t=1.0, **base)
-        v2 = deviation_bound(t=2.0, **base)
-        root_n = math.sqrt(100)
-        sqrt_part = (1.0 + 1.0 / root_n)
-        lin_part = 1.0 / root_n
-        assert v2 == pytest.approx(sqrt_part * math.sqrt(2.0) + lin_part * 2.0, rel=1e-12)
-        assert v1 == pytest.approx(sqrt_part + lin_part, rel=1e-12)
-
-    def test_rejects_t_below_one(self):
-        with pytest.raises(ValueError):
-            deviation_bound(1.0, 1.0, 1.0, 1.0, t=0.5, alpha=1.0, q=4.0, n=100)
-
-    def test_mc_quantile_never_exceeds_bound(self):
-        # single function f(x) = x - 1/2 under U(0,1): sigma^2 = 1/12
-        n, reps, q = 10_000, 10_000, 4.0
-        gen = np.random.default_rng(5150)
-        sups = np.empty(reps)
-        maxes = np.empty(reps)
-        for r in range(reps):
-            x = gen.random(n)
-            sups[r] = abs((x - 0.5).sum()) / math.sqrt(n)
-            maxes[r] = np.abs(x - 0.5).max()
-        t = 10 ** (2.0 / q)  # 1 - t^{-q/2} = 0.9
-        EGn = sups.mean()
-        bound = deviation_bound(
-            EGn=EGn, sigma=math.sqrt(1 / 12), M2=math.sqrt((maxes**2).mean()),
-            Mq=((maxes**q).mean()) ** (1 / q), t=t, alpha=1.0, q=q, n=n, K_q=1.0,
-        )
-        assert np.quantile(sups, 0.9) <= bound
-
-
-class TestMaximalBound:
-    def test_zero_entropy(self):
-        assert maximal_bound(0.0, 1.0, 1.0, 0.5, 100) == 0.0
-
-    def test_large_n_limit(self):
-        first = maximal_bound(1.0, 2.0, 1.0, 1.0, 10**12)
-        assert first - 1.0 * 2.0 < 1e-6 * 2.0
-
-    def test_mc_mean_within_documented_constant(self):
-        # single-function class: E|G_n f| for f(x) = x - 1/2 under U(0,1);
-        # J = delta = 1 for a singleton with envelope |f|
-        gen = np.random.default_rng(61)
-        F_P2 = math.sqrt(1.0 / 12.0)
-        for n in (100, 10_000):
-            reps = 4000
-            sups = np.empty(reps)
-            maxes = np.empty(reps)
-            for r in range(reps):
-                x = gen.random(n)
-                sups[r] = abs((x - 0.5).sum()) / math.sqrt(n)
-                maxes[r] = np.abs(x - 0.5).max()
-            M2 = math.sqrt((maxes**2).mean())
-            bound = maximal_bound(J_delta=1.0, F_P2=F_P2, M2=M2, delta=1.0, n=n)
-            assert sups.mean() <= 4.0 * bound
-
-    def test_vc_variant(self):
-        val = vc_maximal_bound(sigma=0.5, F_P2=1.0, M2=1.0, A=math.e, v=2.0, n=400)
-        logterm = math.log(math.e * 1.0 / 0.5)
-        assert val == pytest.approx(math.sqrt(2 * 0.25 * logterm) + 2 * logterm / 20.0, rel=1e-12)
-
-
-class TestKolmogorovConversion:
-    def test_closed_form(self):
-        out = kolmogorov_conversion(0.01, 0.05, 2.0, 1.0, 1.0)
-        assert out == pytest.approx(0.01 * (2.0 + math.sqrt(math.log(100.0))) + 0.05, rel=1e-12)
-
-    def test_vanishes_with_r1(self):
-        vals = [kolmogorov_conversion(r1, 0.0, 2.0, 1.0) for r1 in (1e-2, 1e-4, 1e-8)]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[2] < 1e-6
-
-    def test_monotone_in_arguments(self):
-        base = kolmogorov_conversion(0.01, 0.05, 2.0, 1.0)
-        assert kolmogorov_conversion(0.02, 0.05, 2.0, 1.0) >= base
-        assert kolmogorov_conversion(0.01, 0.06, 2.0, 1.0) >= base
-        assert kolmogorov_conversion(0.01, 0.05, 2.5, 1.0) >= base
-        assert kolmogorov_conversion(0.01, 0.05, 2.0, 1.5) >= base
 
 
 class TestCouplingAgainstSimulation:

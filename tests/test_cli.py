@@ -54,6 +54,14 @@ class TestValidate:
         _, errors = validate(json.dumps(cfg))
         assert any("sigma" in e.message for e in errors)
 
+    def test_nested_anchor_follows_the_path(self):
+        cfg = minimal_config(subcommand="coupling-bounds", scenario={"type": "kernel_density"},
+                             params={"moments": {"sigma": 0.5, "b": 1.0, "q": 4, "H": {"type": "x"}}})
+        text = json.dumps(cfg, indent=1)
+        _, errors = validate(text)
+        assert [e.path for e in errors] == ["params.moments.H.type"]
+        assert text.splitlines()[errors[0].line - 1].strip() == '"type": "x"'
+
     def test_malformed_json(self):
         config, errors = validate("{not json")
         assert config is None
@@ -227,6 +235,7 @@ class TestScenarioContract:
             ("rate", {"type": "kernel_density", "law_params": {"a": -1}}, "scenario.law_params"),
             ("anticoncentration", {"type": "kernel_density", "bandwidth_power": "a"}, "scenario.bandwidth_power"),
             ("anticoncentration", {"type": "series_mean", "k_power": "a"}, "scenario.k_power"),
+            ("rate", {"type": ["kernel_density"]}, "scenario.type"),
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
@@ -279,6 +288,61 @@ class TestScenarioContract:
         cfg = minimal_config(subcommand="anticoncentration", params={"replications": 0})
         _, errors = validate(json.dumps(cfg))
         assert [e.path for e in errors] == ["params.replications"]
+
+
+MOMENTS = {"sigma": 0.8, "b": 1.0, "q": 4}
+
+
+def run_closed_form(tmp_path, subcommand, params) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": subcommand, "seed": 1, "params": params}, indent=1), encoding="utf-8")
+    return main(["--config", str(path), "--output", str(tmp_path / "out")])
+
+
+class TestClosedFormContract:
+    """The closed-form subcommands exit 2 with a path anchor on a bad param, 3 when floats run out of range."""
+
+    @pytest.mark.parametrize(
+        "subcommand, params, anchor",
+        [
+            ("coupling-bounds", {"n": 1000}, "params.moments"),
+            ("coupling-bounds", {"moments": [0.8, 1.0, 4]}, "params.moments"),
+            ("coupling-bounds", {"moments": {"sigma": 0.8, "b": 1.0}}, "params.moments.q"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "q": 2}}, "params.moments.q"),
+            ("coupling-bounds", {"gamma": 2, "moments": MOMENTS}, "params.gamma"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "H": {"type": "x"}}}, "params.moments.H.type"),
+            ("coupling-crossover", {"delta": 0}, "params.delta"),
+            ("coupling-crossover", {"n_exponents": [1, 2, 3]}, "params.n_exponents"),
+            ("coupling-crossover", {"n_exponents": "a"}, "params.n_exponents"),
+            ("coupling-crossover", {"beta": "x", "delta": 2}, "params.beta"),
+            ("coupling-crossover", {"n_exponents": [1024]}, "params.n_exponents"),
+            ("smoothmax-check", {"p_max": 0}, "params.p_max"),
+            ("smoothmax-check", {"draws": "a"}, "params.draws"),
+        ],
+        ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
+             "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string"],
+    )
+    def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
+        assert run_closed_form(tmp_path, subcommand, params) == 2
+        err = capsys.readouterr().err
+        assert f"{anchor}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, params, message",
+        [
+            ("coupling-crossover", {"n_exponents": [8, 42]}, "B0 = p delta^-3 sum E|X_i|^3 overflows"),
+            ("coupling-crossover", {"n_exponents": [45]}, "numerical failure"),
+            ("coupling-crossover", {"b": 1e-200}, "underflows to 0"),
+            ("coupling-crossover", {"delta": 1e300}, "loses its sign in floats"),
+            ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "numerical failure"),
+        ],
+        ids=["exponent_42", "exponent_45", "tiny_b", "huge_delta", "huge_n"],
+    )
+    def test_float_range_failure_exits_3(self, tmp_path, capsys, subcommand, params, message):
+        assert run_closed_form(tmp_path, subcommand, params) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert message in (tmp_path / "out" / "summary.txt").read_text()
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Fuzzed scenario configs: the CLI exits 0, 2 or 3 and never with a traceback."""
+"""Fuzzed configs: the CLI exits 0, 2 or 3 and never with a traceback."""
 
 import contextlib
 import io
@@ -73,10 +73,60 @@ configs = st.sampled_from(sorted(params)).flatmap(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(configs)
-def test_fuzzed_scenario_configs_never_raise(cfg):
+# closed-form subcommands: valid-by-construction params, at each level maybe one field set to a wild value
+wild = st.one_of(st.floats(), st.integers(-3, 3), st.just("x"), st.just([]))
+positive = st.floats(min_value=0.0, exclude_min=True)  # subnormal to inf: the float-range edges
+
+
+def maybe_mutated(valid):
+    """Draws a valid dict, or the same dict with one of its fields set to a wild value."""
+    def mutants(d):
+        mutant = st.tuples(st.sampled_from(sorted(d)), wild).map(lambda kv: {**d, kv[0]: kv[1]})
+        return st.one_of(st.just(d), mutant)
+
+    return valid.flatmap(lambda d: mutants(d) if d else st.just(d))
+
+
+profiles = {
+    "H": maybe_mutated(st.one_of(
+        st.fixed_dictionaries({"type": st.just("constant"), "value": st.floats(0.0, 20.0)}),
+        st.fixed_dictionaries({"type": st.just("vc"), "A": st.floats(0.5, 10.0), "v": st.floats(0.0, 3.0)}),
+    )),
+    "tail": maybe_mutated(st.one_of(
+        st.fixed_dictionaries({"type": st.just("zero")}),
+        st.fixed_dictionaries({"type": st.just("bounded"), "ratio": st.floats(0.0, 5.0)}),
+    )),
+    "phi": maybe_mutated(st.fixed_dictionaries({"value": st.floats(0.0, 1.0)})),
+}
+moments = maybe_mutated(st.fixed_dictionaries(
+    {"sigma": st.floats(0.0, 1.0), "b": st.one_of(st.floats(1.0, 2.0), positive), "q": st.floats(3.0, 8.0)},
+    optional={"M2": st.floats(0.0, 1.0), "Mq": st.floats(1.0, 3.0), "kappa": st.floats(0.01, 3.0),
+              "EG_FF": st.floats(0.0, 3.0), "A": st.floats(3.0, 10.0), "v": st.floats(0.5, 3.0),
+              "n": st.integers(3, 10**6), **profiles},
+))
+closed_form = {
+    "smoothmax-check": maybe_mutated(st.fixed_dictionaries(
+        {"draws": st.integers(0, 200), "deriv_draws": st.integers(0, 40), "p_max": st.integers(1, 30)},
+        optional={"beta": st.floats(0.1, 10.0), "delta": st.floats(0.1, 10.0)},
+    )),
+    "coupling-bounds": maybe_mutated(st.fixed_dictionaries(
+        {"moments": moments},
+        optional={"n": st.one_of(st.integers(3, 10**6), st.just(10**400)), "epsilon": st.floats(1e-3, 1.0),
+                  "gamma": st.floats(1e-3, 0.999), "K_q": st.floats(0.1, 5.0), "c_const": st.floats(0.1, 5.0),
+                  "C_log": st.floats(0.1, 5.0)},
+    )),
+    "coupling-crossover": maybe_mutated(st.fixed_dictionaries(
+        {},
+        optional={"n_exponents": st.lists(st.one_of(st.integers(2, 45), st.integers(2, 1100)), min_size=1, max_size=4),
+                  "delta": st.one_of(st.floats(1.0, 100.0), positive), "b": st.one_of(st.floats(0.1, 10.0), positive)},
+    )),
+}
+closed_form_configs = st.sampled_from(sorted(closed_form)).flatmap(
+    lambda sub: st.fixed_dictionaries({"subcommand": st.just(sub), "seed": st.integers(0, 5), "params": closed_form[sub]})
+)
+
+
+def run_fuzzed(cfg):
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         path = Path(tmp) / "cfg.json"
@@ -84,3 +134,16 @@ def test_fuzzed_scenario_configs_never_raise(cfg):
         code = main(["--config", str(path), "--output", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs)
+def test_fuzzed_scenario_configs_never_raise(cfg):
+    run_fuzzed(cfg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closed_form_configs)
+def test_fuzzed_closed_form_configs_never_raise(cfg):
+    run_fuzzed(cfg)

@@ -9,9 +9,7 @@ from supgauss.funcclass import (
     DiscreteMeasure,
     DiscretizedClass,
     covering_number,
-    covering_report,
     entropy_integral,
-    entropy_profile,
     exhaustive_min_cover,
     product_class,
     vc_entropy_bound,
@@ -75,22 +73,16 @@ class TestCoveringNumber:
             n_funcs = int(gen.integers(1, 11))
             cls = DiscretizedClass.from_matrix(gen.standard_normal((n_atoms, n_funcs)))
             q = cls.atom_measure(n_atoms)
-            report = covering_report(cls, q, np.linspace(0.05, 1.0, 9))
-            assert np.all(np.diff(report.counts) <= 0)
-            assert report.counts[-1] >= 1
-            assert report.counts[0] <= n_funcs
+            counts = np.array([covering_number(cls, q, e) for e in np.linspace(0.05, 1.0, 9)])
+            assert np.all(np.diff(counts) <= 0)
+            assert counts[-1] >= 1
+            assert counts[0] <= n_funcs
 
 
 class TestEnvelope:
     def test_matrix_envelope_must_dominate(self):
         with pytest.raises(ValueError, match="dominate"):
             DiscretizedClass.from_matrix(np.array([[2.0, 0.0]]), np.array([1.0]))
-
-    def test_violations_counter(self):
-        cls = DiscretizedClass.from_functions(
-            [lambda x: np.asarray(x)], lambda x: np.abs(np.asarray(x)) + 0.1
-        )
-        assert cls.envelope_violations(np.linspace(-1, 1, 50)) == 0
 
 
 class TestEntropyIntegral:
@@ -117,23 +109,6 @@ class TestEntropyIntegral:
         cls = two_point_class()
         with pytest.raises(ValueError):
             entropy_integral(cls, 0.5, [])
-
-    def test_profile_shape_properties(self):
-        gen = np.random.default_rng(22)
-        cls = DiscretizedClass.from_matrix(gen.standard_normal((5, 9)))
-        measures = [cls.atom_measure(5), cls.atom_measure(5, gen.dirichlet(np.ones(5)))]
-        grid = np.array([0.125, 0.25, 0.5, 1.0])
-        prof = entropy_profile(cls, grid, measures)
-        J = prof.J_values
-        assert np.all(np.diff(J) >= -1e-12)
-        ratios = J / grid
-        assert np.all(np.diff(ratios) <= 1e-12)
-        # J(c delta) <= c J(delta) for grid-representable c in {2, 4}
-        assert J[1] <= 2 * J[0] + 1e-12
-        assert J[2] <= 2 * J[1] + 1e-12
-        assert J[3] <= 2 * J[2] + 1e-12
-        assert J[2] <= 4 * J[0] + 1e-12
-        assert J[3] <= 4 * J[1] + 1e-12
 
 
 class TestVcEntropyBound:
@@ -166,28 +141,6 @@ class TestVcEntropyBound:
             for delta in (0.25, 0.5, 1.0):
                 emp = entropy_integral(cls, delta, [q])
                 assert emp <= vc_entropy_bound(A, v, delta) + 1e-9
-
-
-class TestVcMeta:
-    def test_tagged_bound_certified_on_grid(self):
-        gen = np.random.default_rng(41)
-        vals = gen.standard_normal((4, 6))
-        eps_grid = np.geomspace(0.05, 1.0, 20)
-        probe = DiscretizedClass.from_matrix(vals)
-        q = probe.atom_measure(4)
-        counts = np.array([covering_number(probe, q, e) for e in eps_grid])
-        v = max(1.0, float(np.max(np.log(counts) / (1.0 + np.log(1.0 / eps_grid)))))
-        cls = DiscretizedClass.from_matrix(vals, vc_meta=(math.e, v))
-        assert cls.vc_bound_violations(q, eps_grid) == 0
-
-    def test_requires_meta(self):
-        cls = two_point_class()
-        with pytest.raises(ValueError, match="vc_meta"):
-            cls.vc_bound_violations(cls.atom_measure(1), [0.5])
-
-    def test_rejects_invalid_meta(self):
-        with pytest.raises(ValueError):
-            DiscretizedClass.from_matrix(np.ones((1, 1)), vc_meta=(1.5, 1.0))
 
 
 class TestProductClass:
@@ -226,22 +179,3 @@ class TestProductClass:
                 assert lhs <= rhs
                 trials += 1
         assert trials >= 100
-
-
-class TestCsvFormat:
-    def test_load_and_use(self, tmp_path):
-        path = tmp_path / "class.csv"
-        path.write_text("f1,f2,envelope\n0.5,-0.2,0.6\n-0.1,0.4,0.5\n", encoding="utf-8")
-        cls = DiscretizedClass.from_csv(path)
-        assert cls.size == 2
-        idx = np.arange(2)
-        np.testing.assert_allclose(cls.evaluate(idx), [[0.5, -0.2], [-0.1, 0.4]])
-        np.testing.assert_allclose(cls.envelope(idx), [0.6, 0.5])
-        q = cls.atom_measure(2)
-        assert covering_number(cls, q, 1.0) >= 1
-
-    def test_rejects_bad_envelope(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("f1,envelope\n2.0,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="dominate"):
-            DiscretizedClass.from_csv(path)
