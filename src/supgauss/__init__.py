@@ -38,6 +38,7 @@ from .scenarios import (
     kernel_density_scenario,
     rate_experiment,
     series_mean_scenario,
+    series_quantile_scenario,
     xi_n,
 )
 from .simulate import (

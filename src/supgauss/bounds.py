@@ -205,10 +205,14 @@ def vc_class_budget(
         raise ValueError("sample size must be at least 3")
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     K_n = c_const * v * max(math.log(n), math.log(A * b / sigma))
+    try:
+        variance_scale = b * sigma**2 * K_n**2
+    except OverflowError:
+        raise OverflowError(f"b sigma^2 K_n^2 overflows a float at n = {n}, sigma = {sigma!r}") from None
     terms = {
         "envelope_term": b * K_n / (gamma**0.5 * n ** (0.5 - inv_q)),
         "mixed_term": math.sqrt(b * sigma) * K_n**0.75 / (gamma**0.5 * n**0.25),
-        "variance_term": (b * sigma**2 * K_n**2) ** (1.0 / 3.0) / (gamma ** (1.0 / 3.0) * n ** (1.0 / 6.0)),
+        "variance_term": variance_scale ** (1.0 / 3.0) / (gamma ** (1.0 / 3.0) * n ** (1.0 / 6.0)),
     }
     prob_raw = C_prob * (gamma + math.log(n) / n)
     return VcBudget(
@@ -376,19 +380,27 @@ def crossover_sweep(n_list, delta: float, b: float = 1.0, c_const: float = 1.0):
     sum_i E|X_i|^3 <= b^3 p^{3/2} / sqrt(n).  Returns the per-n rows and the
     first n (if any) where the whole-vector bound exceeds the maxima bound.
     """
+    try:
+        b3 = b**3
+    except OverflowError:
+        raise OverflowError(f"b^3 overflows a float at b = {b!r}") from None
     rows = []
     for n in n_list:
         if n < 3:
             raise ValueError("sample sizes must be at least 3")
-        p = math.ceil(math.exp(n**0.2))
+        try:
+            p = math.ceil(math.exp(n**0.2))
+            p15 = p**1.5
+        except OverflowError:
+            raise OverflowError(f"p^1.5 with p = ceil(exp(n^0.2)) overflows a float at n = {n:.6g}") from None
         coord = b / math.sqrt(n)
         moments = AnalyticVectorMoments(
             B1=b * b * math.sqrt(math.log1p(p) / n),
-            B2=b**3 / math.sqrt(n),
-            b3_tail=lambda thr, c=coord, n_=n, b_=b: (b_**3 / math.sqrt(n_)) if c > thr else 0.0,
+            B2=b3 / math.sqrt(n),
+            b3_tail=lambda thr, c=coord, n_=n: (b3 / math.sqrt(n_)) if c > thr else 0.0,
         )
         terms = stein_coupling_terms(moments, delta=delta, n=n, p=p, c_const=c_const)
-        third = b**3 * p**1.5 / math.sqrt(n)
+        third = b3 * p15 / math.sqrt(n)
         if third == 0.0:
             raise FloatingPointError(f"b^3 p^1.5 / sqrt(n) underflows to 0 at b = {b!r}")
         yur = yurinskii_bound(p, delta, third)

@@ -9,6 +9,7 @@ never on the worker-thread cap.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -32,10 +33,6 @@ SUBCOMMANDS = (
     "bands",
     "anticoncentration",
 )
-
-# per scenario type: (grid_lo, grid_hi) defaults
-GRID_DEFAULTS = {"kernel_density": (0.1, 0.9), "series_mean": (0.0, 1.0), "series_quantile": (0.0, 1.0)}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -182,6 +179,22 @@ PROFILE_RULES = {"H": {"constant": {"value": _NUMBER}, "vc": {"A": _POSITIVE, "v
                  "tail": {"zero": {}, "bounded": {"ratio": _NUMBER}}}
 
 
+def _one_of(names):
+    return (lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
+
+
+# rules of the scenario keys; which keys a scenario type takes is its factory's signature
+SCENARIO_RULES = {
+    "data_law": _one_of(scn_mod.DATA_LAWS), "kernel": _one_of(scn_mod.KERNELS), "basis": _one_of(scn_mod.BASES),
+    "normalization": _one_of(("unit", "studentized")), "bandwidth_scale": _POSITIVE, "k_scale": _POSITIVE,
+    "bandwidth_power": _NUMBER, "k_power": _NUMBER, "grid_points": _COUNT, "grid_lo": _NUMBER, "grid_hi": _NUMBER,
+    "tau_grid": (lambda v: isinstance(v, list) and v and all(_is_number(t) and 0 < t < 1 for t in v),
+                 "a nonempty list of levels strictly between 0 and 1"),
+    "law_params": (lambda v: isinstance(v, dict), "an object"),
+}
+LAW_RULES = {"a": _POSITIVE, "b": _POSITIVE, "sd": _POSITIVE, "mu": _NUMBER, "lo": _NUMBER, "hi": _NUMBER}
+
+
 def _rule_problems(obj: dict, rules: dict, prefix: str, required=()) -> list[tuple[str, str]]:
     """(path, message) for each key of obj that breaks its rule or is required and missing."""
     problems = [(f"{prefix}.{key}", f"{key} is required") for key in required if key not in obj]
@@ -193,7 +206,8 @@ def _moment_problems(m) -> list[tuple[str, str]]:
     """Type, range and cross-field checks of the coupling-bounds moment inputs."""
     if not isinstance(m, dict):
         return [("params.moments", "moments must be an object with at least sigma, b and q")]
-    problems = _rule_problems(m, MOMENT_RULES, "params.moments", required=("sigma", "b", "q"))
+    problems = _unknown_keys(m, (*MOMENT_RULES, *PROFILE_RULES, "phi"), "params.moments", "moments")
+    problems += _rule_problems(m, MOMENT_RULES, "params.moments", required=("sigma", "b", "q"))
     for key, kinds in PROFILE_RULES.items():
         if key not in m:
             continue
@@ -219,81 +233,45 @@ def _moment_problems(m) -> list[tuple[str, str]]:
 
 
 def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
-    """Cross-field checks of a scenario spec, as (path, message) pairs."""
+    """Key, value and cross-field checks of a scenario spec, as (path, message) pairs."""
     stype = scenario.get("type")
-    if stype not in tuple(GRID_DEFAULTS):  # a tuple, so an unhashable type such as a list cannot raise
-        return [("scenario.type", f"unknown scenario type {stype!r}")]
-    problems = []
-    known = {"data_law": scn_mod.DATA_LAWS, "kernel": scn_mod.KERNELS, "basis": scn_mod.BASES,
-             "normalization": ("unit", "studentized")}
-    for key, names in known.items():
-        if key in scenario and (not isinstance(scenario[key], str) or scenario[key] not in names):
-            problems.append((f"scenario.{key}", f"unknown {key} {scenario[key]!r}; expected one of {', '.join(names)}"))
-    if sub == "bands" and scenario.get("normalization") == "unit":
-        problems.append(("scenario.normalization", "bands need a studentized scenario"))
-    for key in ("bandwidth_scale", "k_scale"):
-        if key in scenario and not (_is_number(scenario[key]) and scenario[key] > 0):
-            problems.append((f"scenario.{key}", f"{key} must be a positive number"))
-    for key in ("bandwidth_power", "k_power"):
-        if key in scenario and not _is_number(scenario[key]):
-            problems.append((f"scenario.{key}", f"{key} must be a finite number"))
-    if "grid_points" in scenario and (not isinstance(scenario["grid_points"], int) or scenario["grid_points"] < 1):
-        problems.append(("scenario.grid_points", "grid_points must be a positive integer"))
-    taus = scenario.get("tau_grid", [0.5])
-    if not isinstance(taus, list) or not taus or not all(_is_number(t) and 0 < t < 1 for t in taus):
-        problems.append(("scenario.tau_grid", "tau_grid must be a nonempty list of levels strictly between 0 and 1"))
-    law_params = scenario.get("law_params", {})
-    if not (isinstance(law_params, dict) and all(_is_number(v) for v in law_params.values())):
-        problems.append(("scenario.law_params", "law_params must be an object of numbers"))
-    elif min(law_params.get(key, 1.0) for key in ("a", "b", "sd")) <= 0:
-        problems.append(("scenario.law_params", "the law parameters a, b and sd must be positive"))
-    lo, hi = (scenario.get(key, default) for key, default in zip(("grid_lo", "grid_hi"), GRID_DEFAULTS[stype]))
-    if not (_is_number(lo) and _is_number(hi) and lo < hi):
-        problems.append(("scenario.grid_lo", "grid_lo and grid_hi must be numbers with grid_lo < grid_hi"))
+    if stype not in tuple(scn_mod.SCENARIO_TYPES):  # a tuple, so an unhashable type such as a list cannot raise
+        return [("scenario.type", f"unknown scenario type {stype!r}; expected one of {', '.join(scn_mod.SCENARIO_TYPES)}")]
+    keys = {"type": stype, **_keyword_defaults(scn_mod.SCENARIO_TYPES[stype])}
+    problems = _unknown_keys(scenario, keys, "scenario", stype) + _rule_problems(scenario, SCENARIO_RULES, "scenario")
+    spec = {**keys, **scenario}
+    if "law_params" in scenario and not problems:
+        law = scn_mod.DATA_LAWS[spec["data_law"]]
+        problems = _unknown_keys(spec["law_params"], _keyword_defaults(law), "scenario.law_params", spec["data_law"])
+        problems += _rule_problems(spec["law_params"], LAW_RULES, "scenario.law_params")
     if problems:
         return problems
-    law = scenario.get("data_law", "beta") if stype == "kernel_density" else "uniform"  # series data are U(0, 1)
-    support = scn_mod.DATA_LAWS[law](**law_params).support
-    if lo < support[0] or hi > support[1]:
-        problems.append(("scenario.grid_lo", f"the grid [{lo}, {hi}] must lie inside the data support {list(support)}"))
+    lo, hi = spec["grid_lo"], spec["grid_hi"]
+    if sub == "bands" and spec.get("normalization") == "unit":
+        problems.append(("scenario.normalization", "bands need a studentized scenario"))
+    if lo >= hi:
+        return problems + [("scenario.grid_lo", "grid_lo must be below grid_hi")]
+    law = scn_mod.DATA_LAWS[spec.get("data_law", "uniform")](**(spec.get("law_params") or {}))  # series data are U(0, 1)
+    if lo < law.support[0] or hi > law.support[1]:
+        problems.append(("scenario.grid_lo", f"the grid [{lo}, {hi}] must lie inside the data support {list(law.support)}"))
     return problems
 
 
+def _keyword_defaults(factory) -> dict:
+    """name -> default of each keyword a scenario factory or data law takes: the schema of its config block."""
+    return {name: p.default for name, p in inspect.signature(factory).parameters.items()}
+
+
+def _unknown_keys(obj: dict, known, prefix: str, owner: str) -> list[tuple[str, str]]:
+    """(path, message) for each key of obj outside known."""
+    return [(f"{prefix}.{key}", f"{owner} takes no key {key!r} (it takes {', '.join(known) or 'none'})")
+            for key in obj if key not in known]
+
+
 def scenario_from_config(spec: dict):
-    stype = spec.get("type", "kernel_density")
-    grid_lo, grid_hi = GRID_DEFAULTS.get(stype, (None, None))
-    if stype == "kernel_density":
-        return scn_mod.kernel_density_scenario(
-            data_law=spec.get("data_law", "beta"),
-            law_params=spec.get("law_params"),
-            kernel=spec.get("kernel", "epanechnikov"),
-            grid_points=spec.get("grid_points", 64),
-            grid_lo=spec.get("grid_lo", grid_lo),
-            grid_hi=spec.get("grid_hi", grid_hi),
-            bandwidth_power=spec.get("bandwidth_power", 0.2),
-            bandwidth_scale=spec.get("bandwidth_scale", 1.0),
-            normalization=spec.get("normalization", "studentized"),
-        )
-    if stype == "series_mean":
-        return scn_mod.series_mean_scenario(
-            basis=spec.get("basis", "fourier_trig"),
-            k_power=spec.get("k_power", 1.0 / 3.0),
-            k_scale=spec.get("k_scale", 1.0),
-            grid_points=spec.get("grid_points", 64),
-            grid_lo=spec.get("grid_lo", grid_lo),
-            grid_hi=spec.get("grid_hi", grid_hi),
-        )
-    if stype == "series_quantile":
-        return scn_mod.SeriesScenario(
-            basis=spec.get("basis", "fourier_trig"),
-            K_rule=lambda n, p=spec.get("k_power", 1.0 / 3.0), s=spec.get("k_scale", 1.0): max(
-                1, math.ceil(s * float(n) ** p)
-            ),
-            x_grid=np.linspace(spec.get("grid_lo", grid_lo), spec.get("grid_hi", grid_hi), spec.get("grid_points", 16)),
-            noise_model="quantile",
-            tau_grid=np.asarray(spec.get("tau_grid", [0.25, 0.5, 0.75])),
-        )
-    raise ValueError(f"unknown scenario type: {stype}")
+    """The scenario a validated config block describes; its type's factory supplies every default."""
+    rest = dict(spec)
+    return scn_mod.SCENARIO_TYPES[rest.pop("type", "kernel_density")](**rest)
 
 
 # ---------------------------------------------------------------------------

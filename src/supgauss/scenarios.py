@@ -12,7 +12,7 @@ kernel on a polynomial density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -80,8 +80,8 @@ KERNELS = {"epanechnikov": Epanechnikov(), "gaussian": GaussianKernel()}
 
 @dataclass(frozen=True)
 class Uniform01:
-    name: str = "uniform"
-    support: tuple = (0.0, 1.0)
+    name: str = field(default="uniform", init=False)
+    support: tuple = field(default=(0.0, 1.0), init=False)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -95,8 +95,8 @@ class Uniform01:
 class BetaLaw:
     a: float = 2.0
     b: float = 2.0
-    name: str = "beta"
-    support: tuple = (0.0, 1.0)
+    name: str = field(default="beta", init=False)
+    support: tuple = field(default=(0.0, 1.0), init=False)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -120,7 +120,7 @@ class TruncNorm:
     sd: float = 0.25
     lo: float = 0.0
     hi: float = 1.0
-    name: str = "truncnorm"
+    name: str = field(default="truncnorm", init=False)
 
     @property
     def support(self):
@@ -145,11 +145,8 @@ class TruncNorm:
         return self.mu + self.sd * ndtri(fa + u * (fb - fa))
 
 
-DATA_LAWS = {
-    "uniform": lambda **kw: Uniform01(),
-    "beta": lambda a=2.0, b=2.0, **kw: BetaLaw(a, b),
-    "truncnorm": lambda mu=0.5, sd=0.25, lo=0.0, hi=1.0, **kw: TruncNorm(mu, sd, lo, hi),
-}
+# name -> law; each law's init fields are the law_params it takes
+DATA_LAWS = {"uniform": Uniform01, "beta": BetaLaw, "truncnorm": TruncNorm}
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +501,8 @@ class SeriesScenario:
     basis: str
     K_rule: callable
     x_grid: np.ndarray
-    noise_model: str = "mean"  # "mean" (E[eta|X]=0) or "quantile" (check transform)
-    noise_sd_fn: callable = None
-    tau_grid: np.ndarray | None = None
+    noise_model: str = "mean"  # "mean" (eta ~ N(0,1)) or "quantile" (check transform)
+    tau_grid: tuple = (0.25, 0.5, 0.75)  # quantile levels; the mean model ignores them
     x_law: object = field(default_factory=Uniform01)
     name: str = "series"
 
@@ -515,10 +511,6 @@ class SeriesScenario:
             raise ValueError(f"unknown basis: {self.basis}")
         if self.noise_model not in ("mean", "quantile"):
             raise ValueError("noise_model must be 'mean' or 'quantile'")
-        if self.noise_model == "quantile" and self.tau_grid is None:
-            object.__setattr__(self, "tau_grid", np.array([0.25, 0.5, 0.75]))
-        if self.noise_sd_fn is None:
-            object.__setattr__(self, "noise_sd_fn", lambda x: np.ones_like(np.asarray(x, dtype=float)))
         if len(self.x_grid) == 0:
             raise ValueError("x_grid must be nonempty")
 
@@ -538,6 +530,25 @@ def series_mean_scenario(
         x_grid=np.linspace(grid_lo, grid_hi, grid_points),
         noise_model="mean",
     )
+
+
+def series_quantile_scenario(
+    basis: str = "fourier_trig",
+    k_power: float = 1.0 / 3.0,
+    k_scale: float = 1.0,
+    grid_points: int = 16,
+    grid_lo: float = 0.0,
+    grid_hi: float = 1.0,
+    tau_grid: tuple = (0.25, 0.5, 0.75),
+) -> SeriesScenario:
+    """Built-in check-function scenario at the quantile levels tau_grid, K_n as in series_mean_scenario."""
+    scn = series_mean_scenario(basis, k_power, k_scale, grid_points, grid_lo, grid_hi)
+    return replace(scn, noise_model="quantile", tau_grid=tuple(tau_grid))
+
+
+# config scenario types: each factory's keywords and their defaults are the keys and defaults of its config block
+SCENARIO_TYPES = {"kernel_density": kernel_density_scenario, "series_mean": series_mean_scenario,
+                  "series_quantile": series_quantile_scenario}
 
 
 @dataclass(frozen=True)
@@ -600,37 +611,33 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
 
     # column (x_j, level l) sums g_l(eta_i) alpha_jl^T psi(X_i): one level with
     # g(eta) = eta in the mean model, the check-function scores
-    # tau - 1(eta <= tau) of each level tau in the quantile model
+    # tau - 1(eta <= tau) of each level tau in the quantile model. The noise is
+    # independent of X, so its matrix Omega is the Gram matrix (level variances in level_cov)
     if scn.noise_model == "mean":
-        sd2 = np.asarray(scn.noise_sd_fn(tq), dtype=float) ** 2
-        Omega = (Pq * (wq * dens * sd2)[:, None]).T @ Pq  # E[sd^2(X) psi psi^T]
         level_scale, level_cov = np.ones(1), np.ones((1, 1))
+
+        draw_eta = np.random.Generator.standard_normal
 
         def scores(eta):
             return eta[:, None]
 
-        def draw_eta(gen, x, m):
-            return scn.noise_sd_fn(x) * gen.standard_normal(m)
-
     else:
         # built-in check-function design: eta ~ U(0,1), conditional density 1
-        Omega = gram
         taus = np.asarray(scn.tau_grid, dtype=float)
         level_scale = 1.0 / np.sqrt(taus * (1.0 - taus))
         level_cov = np.minimum.outer(taus, taus) - np.outer(taus, taus)
 
+        draw_eta = np.random.Generator.random
+
         def scores(eta):
             return taus[None, :] - (eta[:, None] <= taus[None, :])  # (n, n_tau)
 
-        def draw_eta(gen, x, m):
-            return gen.random(m)
-
     A1 = np.linalg.inv(gram)
-    A2 = _spd_sqrt(Omega) @ A1
+    A2 = _spd_sqrt(gram) @ A1
     base_alpha = _safe_normalize(Pg @ A1.T, np.linalg.norm(Pg @ A2.T, axis=1))  # (nx, K)
     col = np.tile(np.arange(level_scale.size), xg.size)  # level of each column
     alpha = np.repeat(base_alpha, level_scale.size, axis=0) * level_scale[col, None]
-    sigma = (alpha @ Omega @ alpha.T) * level_cov[np.ix_(col, col)]
+    sigma = (alpha @ gram @ alpha.T) * level_cov[np.ix_(col, col)]
     cov = CovarianceModel.from_matrix(sigma)
     proj_sup = float(np.abs(alpha).sum(axis=1).max())
 
@@ -652,13 +659,13 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
 
     def sampler(gen, m):
         x = scn.x_law.sample(gen, m)
-        return (draw_eta(gen, x, m), x)
+        return (draw_eta(gen, m), x)
 
     cls = DiscretizedClass(
         evaluate=evaluate, envelope=envelope, size=alpha.shape[0], centered=True, column_sums=column_sums
     )
     return SeriesDesign(
-        scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=Omega, cov=cov, cls=cls,
+        scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=gram, cov=cov, cls=cls,
         sampler=sampler, tau_of_col=None if scn.noise_model == "mean" else col,
     )
 

@@ -236,6 +236,16 @@ class TestScenarioContract:
             ("anticoncentration", {"type": "kernel_density", "bandwidth_power": "a"}, "scenario.bandwidth_power"),
             ("anticoncentration", {"type": "series_mean", "k_power": "a"}, "scenario.k_power"),
             ("rate", {"type": ["kernel_density"]}, "scenario.type"),
+            # keys the scenario type's factory does not take
+            ("rate", {"type": "kernel_density", "bandwith_power": 0.9}, "scenario.bandwith_power"),
+            ("rate", {"type": "kernel_density", "basis": "legendre"}, "scenario.basis"),
+            ("rate", {"type": "kernel_density", "tau_grid": [0.5]}, "scenario.tau_grid"),
+            ("rate", {"type": "kernel_density", "law_params": {"mu": 0.3}}, "scenario.law_params.mu"),
+            ("rate", {"type": "kernel_density", "data_law": "uniform", "law_params": {"a": 3}},
+             "scenario.law_params.a"),
+            ("rate", {"type": "series_mean", "law_params": {"a": 3}}, "scenario.law_params"),
+            ("rate", {"type": "series_mean", "normalization": "studentized"}, "scenario.normalization"),
+            ("bands", {"type": "series_mean", "normalization": "unit"}, "scenario.normalization"),
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
@@ -243,6 +253,12 @@ class TestScenarioContract:
         err = capsys.readouterr().err
         assert anchor in err
         assert "Traceback" not in err
+
+    def test_unknown_key_is_named_not_studentization(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "bands", {"type": "series_mean", "normalization": "unit"}) == 2
+        err = capsys.readouterr().err
+        assert "series_mean takes no key 'normalization'" in err
+        assert "studentized" not in err
 
     @pytest.mark.parametrize(
         "subcommand, params, anchor",
@@ -318,9 +334,12 @@ class TestClosedFormContract:
             ("coupling-crossover", {"n_exponents": [1024]}, "params.n_exponents"),
             ("smoothmax-check", {"p_max": 0}, "params.p_max"),
             ("smoothmax-check", {"draws": "a"}, "params.draws"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "p_or_N": 17}}, "params.moments.p_or_N"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "kapa": 5.0}}, "params.moments.kapa"),
         ],
         ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
-             "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string"],
+             "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string", "retired_p_or_N",
+             "misspelled_kappa"],
     )
     def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_closed_form(tmp_path, subcommand, params) == 2
@@ -332,12 +351,19 @@ class TestClosedFormContract:
         "subcommand, params, message",
         [
             ("coupling-crossover", {"n_exponents": [8, 42]}, "B0 = p delta^-3 sum E|X_i|^3 overflows"),
-            ("coupling-crossover", {"n_exponents": [45]}, "numerical failure"),
+            ("coupling-crossover", {"n_exponents": [45]},
+             "p^1.5 with p = ceil(exp(n^0.2)) overflows a float at n = 3.51844e+13"),
+            ("coupling-crossover", {"n_exponents": [1023]},
+             "p^1.5 with p = ceil(exp(n^0.2)) overflows a float at n = 8.98847e+307"),
+            ("coupling-crossover", {"b": 1e200}, "b^3 overflows a float at b = 1e+200"),
             ("coupling-crossover", {"b": 1e-200}, "underflows to 0"),
             ("coupling-crossover", {"delta": 1e300}, "loses its sign in floats"),
             ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "numerical failure"),
+            ("coupling-bounds", {"moments": {"sigma": 1e200, "b": 1e200, "q": 4, "A": 3.0, "v": 1.0}},
+             "b sigma^2 K_n^2 overflows a float at n = 1000, sigma = 1e+200"),
         ],
-        ids=["exponent_42", "exponent_45", "tiny_b", "huge_delta", "huge_n"],
+        ids=["exponent_42", "exponent_45", "exponent_1023", "huge_b", "tiny_b", "huge_delta", "huge_n",
+             "vc_huge_sigma"],
     )
     def test_float_range_failure_exits_3(self, tmp_path, capsys, subcommand, params, message):
         assert run_closed_form(tmp_path, subcommand, params) == 3

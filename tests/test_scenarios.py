@@ -9,6 +9,7 @@ from scipy import integrate
 from supgauss.simulate import RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
 from supgauss.scenarios import (
     BASES,
+    DATA_LAWS,
     BetaLaw,
     CondCdfFamily,
     Epanechnikov,
@@ -23,6 +24,7 @@ from supgauss.scenarios import (
     kernel_density_scenario,
     rate_experiment,
     series_mean_scenario,
+    series_quantile_scenario,
     xi_n,
 )
 
@@ -239,6 +241,20 @@ class TestSeriesDesign:
         x = RngPolicy(6).stream_of(0).random(500)
         vals = d.cls.evaluate((np.zeros(500), x))
         np.testing.assert_array_equal(vals, np.zeros_like(vals))
+
+    def test_quantile_factory_shares_the_mean_order_rule(self):
+        q, m = series_quantile_scenario(k_power=0.4, k_scale=1.5), series_mean_scenario(k_power=0.4, k_scale=1.5)
+        assert (q.noise_model, q.tau_grid, len(q.x_grid)) == ("quantile", (0.25, 0.5, 0.75), 16)
+        assert [q.K_rule(n) for n in (3, 125, 8000)] == [m.K_rule(n) for n in (3, 125, 8000)]
+        assert design_series(series_quantile_scenario(tau_grid=[0.1, 0.9], grid_points=5), 125).cls.size == 10
+
+    def test_data_laws_take_only_their_parameters(self):
+        assert DATA_LAWS["beta"](a=3.0).support == (0.0, 1.0)
+        assert DATA_LAWS["truncnorm"](lo=0.2).support == (0.2, 1.0)
+        with pytest.raises(TypeError):
+            DATA_LAWS["beta"](mu=0.3)
+        with pytest.raises(TypeError):
+            DATA_LAWS["uniform"](a=2.0)
 
     def test_design_functionals_and_covariance_shapes(self):
         d = design(series_mean_scenario(grid_points=10), 125)
