@@ -140,11 +140,15 @@ def coupling_budget(
     H = float(inputs.H_profile(epsilon))
     Mq = float(inputs.M_norms.get(q, inputs.M_norms.get("q", 0.0)))
     M2 = float(inputs.M_norms.get(2, 0.0))
+    try:
+        root_n = n**-0.5
+    except OverflowError:  # an integer n past the largest float
+        raise OverflowError(f"n^-1/2 overflows a float at n = 10^{math.log10(n):.6g}") from None
     terms = {
         "phi": float(inputs.phi_profile(epsilon)),
         "eps_term": gamma ** (-1.0 / q) * epsilon * inputs.b,
-        "Mq_term": n**-0.5 * gamma ** (-1.0 / q) * Mq,
-        "M2_term": n**-0.5 * gamma ** (-2.0 / q) * M2,
+        "Mq_term": root_n * gamma ** (-1.0 / q) * Mq,
+        "M2_term": root_n * gamma ** (-2.0 / q) * M2,
         "FF_term": n**-0.25 * gamma**-0.5 * math.sqrt(inputs.EG_FF) * math.sqrt(H),
         "kappa_term": n ** (-1.0 / 6.0) * gamma ** (-1.0 / 3.0) * inputs.kappa * H ** (2.0 / 3.0),
     }

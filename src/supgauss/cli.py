@@ -25,15 +25,6 @@ from .bands import coverage_experiment
 from .simulate import CovarianceError, RngPolicy, gaussian_sup_sample, levy_concentration
 from .smoothmax import epsilon_beta_delta, smooth_max, smooth_max_derivs
 
-SUBCOMMANDS = (
-    "smoothmax-check",
-    "coupling-bounds",
-    "coupling-crossover",
-    "rate",
-    "bands",
-    "anticoncentration",
-)
-
 @dataclass(frozen=True)
 class RunConfig:
     subcommand: str
@@ -87,6 +78,8 @@ def validate(config_text: str):
     def err(path, message):
         errors.append(ConfigError(path=path, message=message, line=_line_of(config_text, path)))
 
+    for path, message in _unknown_keys(raw, _keyword_defaults(RunConfig), "", "a config"):
+        err(path, message)
     sub = raw.get("subcommand")
     if sub not in SUBCOMMANDS:
         err("subcommand", f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}")
@@ -105,17 +98,8 @@ def validate(config_text: str):
         err("scenario", "scenario must be an object")
         scenario = {}
 
-    if "n_list" in params:
-        ns = params["n_list"]
-        if not isinstance(ns, list) or any((not isinstance(n, int)) or n < 3 for n in ns):
-            err("params.n_list", "every n must be an integer >= 3 (the coupling constructions assume n >= 3)")
-        elif len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
-            err("params.n_list", "n_list must be strictly increasing with at least 3 entries")
-    if sub == "bands" and params.get("side", "two_sided") not in ("two_sided", "one_sided_lower"):
-        err("params.side", "side must be 'two_sided' or 'one_sided_lower'")
-    if sub == "bands" and params.get("target", "exact_centered") != "exact_centered":
-        err("params.target", "the only coverage target is 'exact_centered'")
-    for path, message in _rule_problems(params, {**PARAM_RULES["*"], **PARAM_RULES.get(str(sub), {})}, "params"):
+    problems = _unknown_keys(params, PARAM_KEYS[sub], "params", sub) if sub in SUBCOMMANDS else []
+    for path, message in problems + _rule_problems(params, {**PARAM_RULES["*"], **PARAM_RULES.get(str(sub), {})}, "params"):
         err(path, message)
     if _is_number(params.get("beta")) and _is_number(params.get("delta")) and params["beta"] * params["delta"] <= 1:
         err("params.beta", "beta * delta must exceed 1 (the smoothing tolerance needs alpha > 0)")
@@ -149,6 +133,10 @@ def _int_from(lo: int):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
+def _one_of(names):
+    return (lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
+
+
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
 _NUMBER = (_is_number, "a finite number")
@@ -170,17 +158,24 @@ PARAM_RULES = {
     "coupling-crossover": {"b": _POSITIVE, "n_exponents": (
         lambda v: isinstance(v, list) and v and all(_int_from(2)(e) and e <= 1023 for e in v),
         "a nonempty list of integers from 2 to 1023 (n = 2^e must be at least 3 and a float)")},
+    "rate": {"n_list": (lambda v: isinstance(v, list) and len(v) >= 3 and all(map(_int_from(3), v))
+                        and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of at least 3 "
+                        "integers n >= 3 (the coupling constructions assume n >= 3)")},
+    "bands": {"side": _one_of(("two_sided", "one_sided_lower")), "target": _one_of(("exact_centered",))},
 }
+# params each subcommand's runner reads; any other key is rejected
+PARAM_KEYS = {"smoothmax-check": ("draws", "deriv_draws", "p_max"),
+              "coupling-bounds": ("moments", "n", "epsilon", "gamma", "K_q", "c_const", "C_log"),
+              "coupling-crossover": ("n_exponents", "delta", "b"), "rate": ("n_list", "replications"),
+              "bands": ("n", "alpha", "R_outer", "R_inner", "side", "target"),
+              "anticoncentration": ("n", "replications", "epsilons")}
+SUBCOMMANDS = tuple(PARAM_KEYS)
 MOMENT_RULES = {"sigma": _NONNEGATIVE, "b": _POSITIVE, "q": (lambda v: _is_number(v) and v >= 3, "a number >= 3"),
                 "M2": _NONNEGATIVE, "Mq": _NONNEGATIVE, "kappa": _POSITIVE, "EG_FF": _NONNEGATIVE, "n": _N,
                 "A": _POSITIVE, "v": _POSITIVE}
 # profile -> type -> rules of its (required) fields
 PROFILE_RULES = {"H": {"constant": {"value": _NUMBER}, "vc": {"A": _POSITIVE, "v": _NONNEGATIVE}},
                  "tail": {"zero": {}, "bounded": {"ratio": _NUMBER}}}
-
-
-def _one_of(names):
-    return (lambda v: isinstance(v, str) and v in names, f"one of {', '.join(names)}")
 
 
 # rules of the scenario keys; which keys a scenario type takes is its factory's signature
@@ -264,7 +259,7 @@ def _keyword_defaults(factory) -> dict:
 
 def _unknown_keys(obj: dict, known, prefix: str, owner: str) -> list[tuple[str, str]]:
     """(path, message) for each key of obj outside known."""
-    return [(f"{prefix}.{key}", f"{owner} takes no key {key!r} (it takes {', '.join(known) or 'none'})")
+    return [(f"{prefix}.{key}" if prefix else key, f"{owner} takes no key {key!r} (it takes {', '.join(known) or 'none'})")
             for key in obj if key not in known]
 
 

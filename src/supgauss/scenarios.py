@@ -5,8 +5,9 @@ order), the evaluation grid, and the normalization.  Builders discretize the
 induced function family on the grid and compute the matching Gaussian-analogue
 covariance by quadrature, so the analogue law is exact up to quadrature error.
 Kernel moments use the 256-node rule on each panel between the window edges
-x_j +/- window * h, where every kernel is smooth: exact for the Epanechnikov
-kernel on a polynomial density.
+x_j +/- window * h, where every kernel is smooth; on a panel the Epanechnikov
+kernel is a polynomial, so its moments and column sums combine per-panel
+polynomial moments (its moments are exact on a polynomial density).
 """
 
 from __future__ import annotations
@@ -329,6 +330,26 @@ class KernelDesign:
         return (self.n * self.h) ** (-1.0 / 6.0) * math.log(self.n)
 
 
+def _panel_lookup(breaks: np.ndarray):
+    """panel_of(x) == np.searchsorted(breaks, x) for finite x, from a table of 8 uniform cells per panel.
+
+    x -> cell is monotone in floats, so the breaks in lower cells lie below x (start[cell] is a lower
+    bound) and those in higher cells above it: the most breaks in one cell bound the steps left."""
+    cells = 8 * (breaks.size - 1)
+    inv = cells / (breaks[-1] - breaks[0])
+    cell_of = lambda x: np.clip((x - breaks[0]) * inv, 0, cells - 1).astype(np.intp)
+    start = np.searchsorted(cell_of(breaks), np.arange(cells + 1))
+    steps, padded = int(np.diff(start).max()), np.append(breaks, np.inf)
+
+    def panel_of(x):
+        k = start[cell_of(np.asarray(x, dtype=float))]
+        for _ in range(steps):
+            k += padded[k] < x
+        return k
+
+    return panel_of
+
+
 def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     """Discretize the localized family on the grid; covariance by quadrature."""
     if n < 3:
@@ -348,20 +369,34 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     if np.any(collapsed):
         raise CovarianceError(f"bandwidth h = {h} at n = {n} is below the float spacing at grid point {xg[collapsed][0]}")
 
-    # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments
-    # E[g_l g_m k_j k_k], panel by panel between the window edges: on each
-    # panel every kernel is smooth (the Epanechnikov kernel a polynomial)
+    # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments E[g_l g_m k_j k_k]
+    # by the 256-node rule on every panel between the window edges, where every kernel is smooth
     edges = np.concatenate([[lo_s, hi_s], xg - kern.window * h, xg + kern.window * h])
     breaks = np.unique(np.clip(edges, lo_s, hi_s))
-    means = np.zeros((nx, L))
-    raw = np.zeros((nx, L, nx, L))
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        t, w = gauss_legendre_rule(lo, hi)
-        kv = kern((t[:, None] - xg[None, :]) / h)  # (nodes, nx)
-        wk = (w * law.density(t))[:, None] * kv
-        means += wk.T @ scn.family.g_mean(t)
-        weighted = wk[:, :, None, None] * scn.family.g_cross(t)[:, None]  # (nodes, nx, L, L)
-        raw += np.tensordot(weighted, kv, axes=(0, 0)).transpose(0, 1, 3, 2)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    t, w = gauss_legendre_rule(breaks[:-1, None], breaks[1:, None])  # (panels, nodes)
+    wd = w * law.density(t)
+    gm = scn.family.g_mean(t.ravel()).reshape(t.shape + (L,))
+    gc = scn.family.g_cross(t.ravel()).reshape(t.shape + (L, L))
+    if isinstance(kern, Epanechnikov):
+        # on panel p the window of x_j is 0.75 sum_a A[a, j, p] u^a = 0.75((1 - d^2) - 2 d u - u^2), with
+        # u = (t - mid_p)/h, d = (mid_p - x_j)/h: exact combinations of the panel sums of w dens g u^r
+        d = (mid[None, :] - xg[:, None]) / h
+        inside = np.abs(d) < 1.0
+        A = np.stack([np.where(inside, 1.0 - d * d, 0.0), np.where(inside, -2.0 * d, 0.0), -inside.astype(float)])
+        u, mu1, mu2 = (t - mid[:, None]) / h, [], []
+        for r in range(5):
+            mu1.append(np.einsum("pt,ptl->pl", wd, gm))
+            mu2.append(np.einsum("pt,ptlm->plm", wd, gc))
+            wd = wd * u
+        means = 0.75 * np.einsum("ajp,apl->jl", A, np.stack(mu1[:3]))
+        S = np.einsum("ajp,abplm->jbplm", A, np.stack(mu2)[np.add.outer(np.arange(3), np.arange(3))])
+        raw = 0.5625 * np.tensordot(S, A, axes=([1, 2], [0, 2])).transpose(0, 1, 3, 2)  # sum over b, p
+    else:  # the kernel at every node of every panel
+        kv = kern((t.reshape(-1, 1) - xg[None, :]) / h)  # (nodes, nx)
+        wk = wd.reshape(-1, 1) * kv
+        means = wk.T @ gm.reshape(-1, L)
+        raw = np.tensordot(wk[:, :, None, None] * gc.reshape(-1, 1, L, L), kv, axes=(0, 0)).transpose(0, 1, 3, 2)
 
     variances = (np.einsum("jljl->jl", raw) - means**2) / h
     if scn.normalization == "studentized":
@@ -393,18 +428,12 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     if not isinstance(kern, Epanechnikov):
         column_sums = None  # sum_columns takes the dense path
     else:
-        # Epanechnikov: every point of a panel lies in the same windows, and with
-        # u = (x - mid)/h, d = (mid - x_j)/h the kernel is 0.75((1 - d^2) - 2d u - u^2),
-        # so each window sum is a fixed combination of the panel moments of g, g u
-        # and g u^2 (about the panel midpoint, which keeps the sums well conditioned)
-        mid = 0.5 * (breaks[:-1] + breaks[1:])
-        d = (mid[None, :] - xg[:, None]) / h  # (nx, panels)
-        inside = np.abs(d) < 1.0
-        A = [np.where(inside, 1.0 - d * d, 0.0), np.where(inside, -2.0 * d, 0.0), -inside.astype(float)]
+        # every point of a panel lies in the same windows: window sums combine (A) the panel sums of g u^k
+        panel_of = _panel_lookup(breaks)
 
         def column_sums(batch):
             g, x = family.g_values(batch)
-            p = np.clip(np.searchsorted(breaks, x) - 1, 0, mid.size - 1)  # support ends join the end panels
+            p = np.clip(panel_of(x) - 1, 0, mid.size - 1)  # support ends join the end panels
             cell = (p[:, None] * L + np.arange(L)).ravel()
             u = ((x - mid[p]) / h)[:, None]
             M = [np.bincount(cell, (g * u**k).ravel(), mid.size * L).reshape(-1, L) for k in range(3)]

@@ -111,6 +111,8 @@ class CovarianceModel:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.all(np.isfinite(sigma)):
+            raise CovarianceError("covariance has non-finite entries")
         scale = max(np.abs(sigma).max(), 1.0)
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ValueError("covariance is not symmetric")

@@ -44,6 +44,13 @@ class TestValidate:
         _, errors = validate(json.dumps(cfg))
         assert any("beta * delta" in e.message for e in errors)
 
+    def test_unknown_top_level_key_rejected(self):
+        text = json.dumps(minimal_config(thraeds=2), indent=1)
+        _, errors = validate(text)
+        assert [e.path for e in errors] == ["thraeds"]
+        assert '"thraeds"' in text.splitlines()[errors[0].line - 1]
+        assert "a config takes no key 'thraeds'" in errors[0].message
+
     def test_small_n_rejected(self):
         cfg = minimal_config(subcommand="rate", params={"n_list": [2, 500, 800]})
         _, errors = validate(json.dumps(cfg))
@@ -199,6 +206,10 @@ def run_cli(tmp_path, subcommand, scenario, params=None) -> int:
     return main(["--config", str(path), "--output", str(tmp_path / "out")])
 
 
+NO_MASS_LAW = {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 1e6, "sd": 0.1},
+               "grid_points": 4}
+
+
 class TestScenarioContract:
     """Scenario subcommands exit 0 on every scenario type, 2 on a bad spec, never with a traceback."""
 
@@ -268,8 +279,14 @@ class TestScenarioContract:
             ("rate", {"n_list": [500, 2000]}, "params.n_list"),
             ("anticoncentration", {"epsilons": [0.0]}, "params.epsilons"),
             ("anticoncentration", {"epsilons": ["a"]}, "params.epsilons"),
+            # keys the subcommand's runner does not read
+            ("rate", {"replicatons": 5}, "params.replicatons"),
+            ("bands", {"R_outter": 5}, "params.R_outter"),
+            ("rate", {"R_outer": 5}, "params.R_outer"),
+            ("anticoncentration", {"n_list": [100, 200, 400]}, "params.n_list"),
         ],
-        ids=["side_upper", "target_true_function", "two_sample_sizes", "zero_epsilon", "string_epsilon"],
+        ids=["side_upper", "target_true_function", "two_sample_sizes", "zero_epsilon", "string_epsilon",
+             "misspelled_replications", "misspelled_R_outer", "bands_key_under_rate", "rate_key_under_anticoncentration"],
     )
     def test_bad_params_exits_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_cli(tmp_path, subcommand, {"type": "kernel_density"}, params) == 2
@@ -291,10 +308,15 @@ class TestScenarioContract:
             ("anticoncentration", {"type": "kernel_density", "bandwidth_power": -400}, None, "bandwidth h = inf"),
             ("anticoncentration", {"type": "series_mean", "k_power": 200}, None, "K = inf exceeds 128"),
             ("anticoncentration", {"type": "series_quantile", "k_power": 200}, None, "K = inf exceeds 128"),
+            # no truncated-normal mass on [0, 1] in floats: NaN densities and a NaN covariance
+            ("rate", NO_MASS_LAW, None, "covariance has non-finite entries"),
+            ("anticoncentration", NO_MASS_LAW, None, "covariance has non-finite entries"),
         ],
         ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap", "bandwidth_underflow",
-             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow"],
+             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow",
+             "rate_no_data_mass", "anticoncentration_no_data_mass"],
     )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
         assert run_cli(tmp_path, subcommand, scenario, params) == 3
         assert "Traceback" not in capsys.readouterr().err
@@ -336,10 +358,12 @@ class TestClosedFormContract:
             ("smoothmax-check", {"draws": "a"}, "params.draws"),
             ("coupling-bounds", {"moments": {**MOMENTS, "p_or_N": 17}}, "params.moments.p_or_N"),
             ("coupling-bounds", {"moments": {**MOMENTS, "kapa": 5.0}}, "params.moments.kapa"),
+            ("coupling-crossover", {"n_exponent": [8, 9]}, "params.n_exponent"),
+            ("smoothmax-check", {"delta": 2.0}, "params.delta"),
         ],
         ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
              "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string", "retired_p_or_N",
-             "misspelled_kappa"],
+             "misspelled_kappa", "misspelled_n_exponents", "crossover_key_under_smoothmax"],
     )
     def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_closed_form(tmp_path, subcommand, params) == 2
@@ -358,7 +382,7 @@ class TestClosedFormContract:
             ("coupling-crossover", {"b": 1e200}, "b^3 overflows a float at b = 1e+200"),
             ("coupling-crossover", {"b": 1e-200}, "underflows to 0"),
             ("coupling-crossover", {"delta": 1e300}, "loses its sign in floats"),
-            ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "numerical failure"),
+            ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "n^-1/2 overflows a float at n = 10^400"),
             ("coupling-bounds", {"moments": {"sigma": 1e200, "b": 1e200, "q": 4, "A": 3.0, "v": 1.0}},
              "b sigma^2 K_n^2 overflows a float at n = 1000, sigma = 1e+200"),
         ],

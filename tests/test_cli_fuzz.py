@@ -11,12 +11,12 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supgauss.cli import main
+from supgauss.cli import PARAM_KEYS, main
 from supgauss.scenarios import SCENARIO_TYPES
 
 # scenario configs: every key a type's factory takes, drawn valid by construction (grids inside the
 # data support, K <= ceil(2 * 200^0.6) = 49, windows far above the float spacing), then at most one
-# field of the scenario or the params mutated to a value its rule rejects, or one unknown key added
+# field of the scenario or the params mutated to a value its rule rejects, or one unknown scenario or params key added
 LAW_PARAMS = {
     "uniform": {},
     "beta": {"a": st.floats(1.0, 4.0), "b": st.floats(1.0, 4.0)},
@@ -89,7 +89,11 @@ def mutations(cfg):
         lambda key: ({**cfg, "scenario": {**scn, key: 0.5}}, f"scenario.{key}"))
     bad_param = st.sampled_from(sorted(params)).flatmap(lambda key: st.sampled_from(PARAM_BAD[key]).map(
         lambda v: ({**cfg, "params": {**params, key: v}}, f"params.{key}")))
-    mutants = [bad_value, unknown_key, bad_param]
+    # a key another subcommand reads, or a misspelt one: the runner would silently ignore it
+    others = sorted({key for keys in PARAM_KEYS.values() for key in keys} - set(PARAM_KEYS[cfg["subcommand"]]))
+    unknown_param = st.sampled_from(others + ["replicatons", "R_outter", "n_lsit", "threads"]).map(
+        lambda key: ({**cfg, "params": {**params, key: 5}}, f"params.{key}"))
+    mutants = [bad_value, unknown_key, bad_param, unknown_param]
     if "law_params" in own:  # a key no data law takes
         mutants.append(st.just(({**cfg, "scenario": {**scn, "law_params": {"zz": 1.0}}}, "scenario.law_params.zz")))
     return st.one_of(st.just((cfg, None)), st.one_of(*mutants))

@@ -1,6 +1,7 @@
 """Kernel and series scenario builders and rate experiments."""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from supgauss.scenarios import (
     DATA_LAWS,
     BetaLaw,
     CondCdfFamily,
+    DensityFamily,
     Epanechnikov,
     GaussianKernel,
     KernelScenario,
     RegressionFamily,
     SeriesScenario,
+    TruncNorm,
     Uniform01,
+    _panel_lookup,
     design,
     design_kernel,
     design_series,
@@ -366,6 +370,78 @@ class TestFastPaths:
         values = d.cls.evaluate(batch)
         err = np.abs(d.cls.sum_columns(batch) - values.sum(axis=0))
         assert np.all(err <= FAST_PATH_RTOL * np.abs(values).sum(axis=0))
+
+
+def _window_breaks(law, h, xg=np.linspace(0.1, 0.9, 64)):
+    """Panel breaks of a kernel design: the support ends and the window edges x_j +/- h inside the support."""
+    lo, hi = law.support
+    return np.unique(np.clip(np.concatenate([[lo, hi], xg - h, xg + h]), lo, hi))
+
+
+LOOKUP_LAWS = {"uniform": Uniform01(), "beta_0.7_1.5": BetaLaw(0.7, 1.5), "truncnorm": TruncNorm(),
+               "truncnorm_wide_support": TruncNorm(mu=0.3, sd=0.2, lo=-0.5, hi=1.5)}
+
+
+class TestPanelLookup:
+    """The cell-table panel lookup of the kernel column sums is np.searchsorted(breaks, x) exactly."""
+
+    @staticmethod
+    def assert_is_searchsorted(breaks, law, gen):
+        x = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf), law.support,
+                            law.sample(gen, 4000), gen.uniform(*law.support, 4000)])
+        np.testing.assert_array_equal(_panel_lookup(breaks)(x), np.searchsorted(breaks, x))
+
+    @pytest.mark.parametrize("n", [500, 8000])
+    @pytest.mark.parametrize("power", [0.2, 1.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(LOOKUP_LAWS))
+    def test_lookup_is_searchsorted(self, name, power, n):
+        law = LOOKUP_LAWS[name]
+        self.assert_is_searchsorted(_window_breaks(law, n**-power), law, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-9])
+    def test_distinct_breaks_within_one_cell(self, h):
+        breaks = _window_breaks(BetaLaw(), h)
+        cells = 8 * (breaks.size - 1)
+        assert np.bincount((breaks * cells).astype(int)).max() >= 2  # x_j - h and x_j + h share a cell
+        self.assert_is_searchsorted(breaks, BetaLaw(), np.random.default_rng(3))
+
+
+@dataclass(frozen=True)
+class NodeEpanechnikov:
+    """The Epanechnikov kernel under a type design_kernel does not know, so it takes the node-quadrature path."""
+
+    name: str = "epanechnikov_by_nodes"
+    window: float = 1.0
+    sup: float = 0.75
+
+    def __call__(self, u):
+        return Epanechnikov()(u)
+
+
+MOMENT_FAMILIES = {
+    "density_beta_0.7_1.5": lambda: DensityFamily(BetaLaw(0.7, 1.5)),
+    "density_truncnorm": lambda: DensityFamily(TruncNorm()),
+    "regression": lambda: _regression_kernel_scenario().family,
+    "cond_cdf_L3": lambda: CondCdfFamily(
+        x_law=BetaLaw(), mean_fn=lambda x: np.asarray(x, dtype=float), sd_fn=lambda x: 0.5 + 0.0 * np.asarray(x),
+        y_grid=np.linspace(-0.5, 1.5, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", [(0.1, 0.9), (0.0, 1.0)], ids=["interior", "clipped_at_support_ends"])
+@pytest.mark.parametrize("power", [0.2, 1.0 / 3.0])
+@pytest.mark.parametrize("name", sorted(MOMENT_FAMILIES))
+def test_polynomial_moments_match_node_quadrature(name, power, grid):
+    """The Epanechnikov moments from per-panel polynomial moments equal the kernel evaluated at every node."""
+    scn = KernelScenario(kernel=Epanechnikov(), bandwidth_rule=lambda n: float(n) ** -power,
+                         x_grid=np.linspace(*grid, 16), family=MOMENT_FAMILIES[name](), normalization="unit")
+    moments, nodes = design_kernel(scn, 2000), design_kernel(replace(scn, kernel=NodeEpanechnikov()), 2000)
+    # unit normalization: sigma = (raw - means means^T) / h
+    raw = [d.h * d.cov.sigma + np.outer(d.means.ravel(), d.means.ravel()) for d in (moments, nodes)]
+    assert np.abs(raw[0] - raw[1]).max() <= 1e-13 * np.abs(raw[1]).max()
+    assert np.abs(moments.means - nodes.means).max() <= 1e-13 * np.abs(nodes.means).max()
+    assert moments.cls.column_sums is not None and nodes.cls.column_sums is None
 
 
 class TestBases:
