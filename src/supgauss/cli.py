@@ -101,8 +101,6 @@ def validate(config_text: str):
     problems = _unknown_keys(params, PARAM_KEYS[sub], "params", sub) if sub in SUBCOMMANDS else []
     for path, message in problems + _rule_problems(params, {**PARAM_RULES["*"], **PARAM_RULES.get(str(sub), {})}, "params"):
         err(path, message)
-    if _is_number(params.get("beta")) and _is_number(params.get("delta")) and params["beta"] * params["delta"] <= 1:
-        err("params.beta", "beta * delta must exceed 1 (the smoothing tolerance needs alpha > 0)")
     if sub == "coupling-bounds":
         for path, message in _moment_problems(params.get("moments")):
             err(path, message)
@@ -145,11 +143,11 @@ _COUNT = (_int_from(1), "a positive integer")
 
 # key -> (check, what the value must be) for the params each subcommand reads; "*" holds for all
 PARAM_RULES = {
-    "*": {"n": _N, "n_inner": _N, "replications": _COUNT, "R_outer": _COUNT, "R_inner": _COUNT,
+    "*": {"n": _N, "replications": _COUNT, "R_outer": _COUNT, "R_inner": _COUNT,
           "alpha": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
           "epsilons": (lambda v: isinstance(v, list) and v and all(_is_number(e) and e > 0 for e in v),
                        "a nonempty list of positive numbers"),
-          "beta": _POSITIVE, "delta": _POSITIVE},
+          "delta": _POSITIVE},
     "smoothmax-check": {"draws": (_int_from(0), "a nonnegative integer"),
                         "deriv_draws": (_int_from(0), "a nonnegative integer"), "p_max": _COUNT},
     "coupling-bounds": {"epsilon": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
@@ -249,6 +247,11 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
     law = scn_mod.DATA_LAWS[spec.get("data_law", "uniform")](**(spec.get("law_params") or {}))  # series data are U(0, 1)
     if lo < law.support[0] or hi > law.support[1]:
         problems.append(("scenario.grid_lo", f"the grid [{lo}, {hi}] must lie inside the data support {list(law.support)}"))
+    if isinstance(law, scn_mod.TruncNorm):
+        fa, fb = law.cdf_bounds()
+        if not fb > fa:  # its mass fb - fa on the support rounds to 0
+            problems.append(("scenario.law_params", f"the truncnorm law (mu {law.mu}, sd {law.sd}) has no mass on "
+                                                    f"its support {list(law.support)} in floats"))
     return problems
 
 
@@ -495,12 +498,10 @@ def _run_rate(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
     write_csv(
         outdir / "rate.csv",
         ["n", "ks", "ks_conf", "predicted_rate", "slope_fit"],
-        [(r["n"], r["ks"], r["ks_conf"], r["predicted_rate"], r["slope_fit"]) for r in table.as_rows()],
+        [(r.n, r.ks, r.ks_conf, r.predicted_rate, table.slope_fit) for r in table.rows],
     )
-    lines = [
-        f"n={r['n']}: ks = {_fmt(r['ks'])} (+/- {_fmt(r['ks_conf'])}), predicted rate {_fmt(r['predicted_rate'])}"
-        for r in table.as_rows()
-    ]
+    lines = [f"n={r.n}: ks = {_fmt(r.ks)} (+/- {_fmt(r.ks_conf)}), predicted rate {_fmt(r.predicted_rate)}"
+             for r in table.rows]
     lines.append(f"log-log slope of ks vs n: {_fmt(table.slope_fit)}")
     return lines, True
 

@@ -1,9 +1,9 @@
 """Discretized function classes: covering numbers, entropy integrals, products.
 
 A class is a finite family f_1..f_N of real functions on a sample space,
-together with a pointwise envelope F >= max_j |f_j|.  Covering numbers are
+optionally with a pointwise envelope F >= max_j |f_j|.  Covering numbers are
 taken in the L2(Q) semimetric of a finite discrete measure Q, at radii
-expressed as fractions of the envelope norm ||F||_{Q,2}.
+expressed as fractions of the envelope norm ||F||_{Q,2}, so they need one.
 """
 
 from __future__ import annotations
@@ -43,17 +43,18 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class DiscretizedClass:
-    """Finite family of evaluable functions with an envelope.
+    """Finite family of evaluable functions, with an optional envelope.
 
     ``evaluate(batch)`` returns an (m, N) matrix of function values at the m
-    sample points of ``batch``; ``envelope(batch)`` the corresponding (m,)
-    envelope values.  ``batch`` is whatever the family's sample space uses
-    (an array of points, a (Y, X) tuple, ...).
+    sample points of ``batch``; ``envelope(batch)``, when given, the
+    corresponding (m,) envelope values, which only covering numbers read.
+    ``batch`` is whatever the family's sample space uses (an array of points,
+    a (Y, X) tuple, ...).
     """
 
     evaluate: callable
-    envelope: callable
     size: int
+    envelope: callable | None = None
     centered: bool = False
     # optional fast path: column_sums(batch) == evaluate(batch).sum(axis=0)
     # within 1e-12 of each column's sum of |summands|; sum_columns uses it to
@@ -118,6 +119,8 @@ class DiscretizedClass:
 
 def _distance_geometry(cls: DiscretizedClass, measure: DiscreteMeasure):
     """Pairwise e_Q distances and the envelope norm ||F||_{Q,2}."""
+    if cls.envelope is None:
+        raise ValueError("covering numbers need a class envelope")
     vals = cls.evaluate(measure.points)
     sw = np.sqrt(measure.weights)[:, None]
     scaled = vals * sw
@@ -219,7 +222,7 @@ def vc_entropy_bound(A: float, v: float, delta: float) -> float:
 
 
 def product_class(left: DiscretizedClass, right: DiscretizedClass) -> DiscretizedClass:
-    """Pointwise-product family {f * g} with envelope F * G."""
+    """Pointwise-product family {f * g} with envelope F * G, or none if a factor has none."""
 
     def evaluate(batch):
         a = left.evaluate(batch)
@@ -231,7 +234,7 @@ def product_class(left: DiscretizedClass, right: DiscretizedClass) -> Discretize
 
     return DiscretizedClass(
         evaluate=evaluate,
-        envelope=envelope,
+        envelope=None if left.envelope is None or right.envelope is None else envelope,
         size=left.size * right.size,
         centered=False,
     )

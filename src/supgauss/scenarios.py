@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.special import ndtr, ndtri
 
 from .funcclass import DiscretizedClass
 from .simulate import CovarianceError, CovarianceModel, RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
@@ -53,7 +51,6 @@ class Epanechnikov:
 
     name: str = "epanechnikov"
     window: float = 1.0  # support radius
-    sup: float = 0.75
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -66,7 +63,6 @@ class GaussianKernel:
 
     name: str = "gaussian"
     window: float = math.inf
-    sup: float = 1.0 / math.sqrt(2.0 * math.pi)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -127,21 +123,26 @@ class TruncNorm:
     def support(self):
         return (self.lo, self.hi)
 
-    def _bounds(self):
+    def cdf_bounds(self):
+        """Normal cdf at lo and at hi; the law's mass on [lo, hi] is their difference."""
+        from scipy.special import ndtr
+
         za = (self.lo - self.mu) / self.sd
         zb = (self.hi - self.mu) / self.sd
         return ndtr(za), ndtr(zb)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        fa, fb = self._bounds()
+        fa, fb = self.cdf_bounds()
         z = (t - self.mu) / self.sd
         phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
         out = phi / (self.sd * (fb - fa))
         return np.where((t >= self.lo) & (t <= self.hi), out, 0.0)
 
     def sample(self, gen, n):
-        fa, fb = self._bounds()
+        from scipy.special import ndtri
+
+        fa, fb = self.cdf_bounds()
         u = gen.random(n)
         return self.mu + self.sd * ndtri(fa + u * (fb - fa))
 
@@ -162,10 +163,6 @@ class DensityFamily:
     @property
     def g_count(self):
         return 1
-
-    @property
-    def g_bound(self):
-        return 1.0
 
     def sample(self, gen, n):
         return self.x_law.sample(gen, n)
@@ -224,10 +221,6 @@ class CondCdfFamily:
     def g_count(self):
         return len(self.y_grid)
 
-    @property
-    def g_bound(self):
-        return 1.0
-
     def sample(self, gen, n):
         x = self.x_law.sample(gen, n)
         y = self.mean_fn(x) + self.sd_fn(x) * gen.standard_normal(n)
@@ -241,6 +234,8 @@ class CondCdfFamily:
 
     def _cdf(self, t, y):
         """P(Y <= y | X = t): one row per node t, each row the shape of the level array y."""
+        from scipy.special import ndtr
+
         t = np.asarray(t, dtype=float)
         m, s = (np.asarray(f(t), dtype=float).reshape(t.shape + (1,) * y.ndim) for f in (self.mean_fn, self.sd_fn))
         return ndtr((y - m) / s)
@@ -416,7 +411,6 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
 
     scale = flat_c / math.sqrt(h)
     family = scn.family
-    g_sup = getattr(family, "g_bound", None)
 
     def evaluate(batch):
         g, x = family.g_values(batch)
@@ -440,24 +434,7 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
             out = 0.75 * sum(a @ m for a, m in zip(A, M))
             return (out.reshape(-1) - x.size * flat_m) * scale
 
-    if g_sup is not None:
-        env_const = float(np.max(flat_c * (kern.sup * g_sup + np.abs(flat_m))) / math.sqrt(h))
-
-        def envelope(batch):
-            _, x = family.g_values(batch)
-            return np.full(x.size, env_const)
-
-    else:
-
-        def envelope(batch):
-            g, x = family.g_values(batch)
-            gmax = np.abs(g).max(axis=1)
-            bound = np.max(flat_c) * (kern.sup * gmax + np.abs(flat_m).max()) / math.sqrt(h)
-            return bound
-
-    cls = DiscretizedClass(
-        evaluate=evaluate, envelope=envelope, size=nx * L, centered=True, column_sums=column_sums
-    )
+    cls = DiscretizedClass(evaluate=evaluate, size=nx * L, centered=True, column_sums=column_sums)
     return KernelDesign(
         scenario=scn, n=n, h=h, means=means, variances=variances, c=c, cls=cls, cov=cov, sampler=family.sample
     )
@@ -510,6 +487,8 @@ def bspline_basis(K: int):
     knots = np.concatenate([np.zeros(deg + 1), interior, np.ones(deg + 1)])
 
     def psi(x):
+        from scipy.interpolate import BSpline
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x, 0.0, 1.0 - 1e-12)
         return BSpline.design_matrix(xc, knots, deg).toarray()
@@ -668,7 +647,6 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     alpha = np.repeat(base_alpha, level_scale.size, axis=0) * level_scale[col, None]
     sigma = (alpha @ gram @ alpha.T) * level_cov[np.ix_(col, col)]
     cov = CovarianceModel.from_matrix(sigma)
-    proj_sup = float(np.abs(alpha).sum(axis=1).max())
 
     def parts(batch):
         eta, x = batch
@@ -682,17 +660,11 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
         g, P = parts(batch)
         return np.einsum("ck,ck->c", (g.T @ P)[col], alpha)
 
-    def envelope(batch):
-        g, P = parts(batch)
-        return np.abs(g).max(axis=1) * np.abs(P).max(axis=1) * proj_sup
-
     def sampler(gen, m):
         x = scn.x_law.sample(gen, m)
         return (draw_eta(gen, m), x)
 
-    cls = DiscretizedClass(
-        evaluate=evaluate, envelope=envelope, size=alpha.shape[0], centered=True, column_sums=column_sums
-    )
+    cls = DiscretizedClass(evaluate=evaluate, size=alpha.shape[0], centered=True, column_sums=column_sums)
     return SeriesDesign(
         scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=gram, cov=cov, cls=cls,
         sampler=sampler, tau_of_col=None if scn.noise_model == "mean" else col,
@@ -755,18 +727,6 @@ class RateRow:
 class RateTable:
     rows: list
     slope_fit: float
-
-    def as_rows(self):
-        return [
-            {
-                "n": r.n,
-                "ks": r.ks,
-                "ks_conf": r.ks_conf,
-                "predicted_rate": r.predicted_rate,
-                "slope_fit": self.slope_fit,
-            }
-            for r in self.rows
-        ]
 
 
 def rate_experiment(scenario, n_list, R: int, rng: RngPolicy, threads: int = 1) -> RateTable:

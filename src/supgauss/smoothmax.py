@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 def smooth_max(x, beta: float):
@@ -168,6 +167,8 @@ def smoothed_indicator(smoothing: IndicatorSmoothing, t) -> np.ndarray:
     terms of the normal cdf and pdf, so the value is closed-form up to erf.
     Satisfies (1 - eps) 1_A(t) <= g(t) <= eps + (1 - eps) 1_{A^{3 delta}}(t).
     """
+    from scipy.special import ndtr
+
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
     beta = smoothing.beta

@@ -1,10 +1,14 @@
 """Config validation, run artifacts, determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import supgauss
 from supgauss.cli import main, run, validate
 
 
@@ -39,10 +43,11 @@ class TestValidate:
         assert "alpha" in errors[0].path
         assert errors[0].line is not None
 
-    def test_beta_delta_product_rule(self):
+    def test_unread_beta_and_delta_one_error_each(self):
         cfg = minimal_config(params={"beta": 1.0, "delta": 0.5})
         _, errors = validate(json.dumps(cfg))
-        assert any("beta * delta" in e.message for e in errors)
+        assert sorted(e.path for e in errors) == ["params.beta", "params.delta"]
+        assert all("smoothmax-check takes no key" in e.message for e in errors)
 
     def test_unknown_top_level_key_rejected(self):
         text = json.dumps(minimal_config(thraeds=2), indent=1)
@@ -257,6 +262,11 @@ class TestScenarioContract:
             ("rate", {"type": "series_mean", "law_params": {"a": 3}}, "scenario.law_params"),
             ("rate", {"type": "series_mean", "normalization": "studentized"}, "scenario.normalization"),
             ("bands", {"type": "series_mean", "normalization": "unit"}, "scenario.normalization"),
+            # no truncated-normal mass on [0, 1] in floats
+            pytest.param("rate", NO_MASS_LAW, "scenario.law_params: the truncnorm law (mu 1000000.0, sd 0.1)",
+                         id="rate_no_data_mass"),
+            pytest.param("anticoncentration", NO_MASS_LAW, "scenario.law_params: the truncnorm law",
+                         id="anticoncentration_no_data_mass"),
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
@@ -308,15 +318,10 @@ class TestScenarioContract:
             ("anticoncentration", {"type": "kernel_density", "bandwidth_power": -400}, None, "bandwidth h = inf"),
             ("anticoncentration", {"type": "series_mean", "k_power": 200}, None, "K = inf exceeds 128"),
             ("anticoncentration", {"type": "series_quantile", "k_power": 200}, None, "K = inf exceeds 128"),
-            # no truncated-normal mass on [0, 1] in floats: NaN densities and a NaN covariance
-            ("rate", NO_MASS_LAW, None, "covariance has non-finite entries"),
-            ("anticoncentration", NO_MASS_LAW, None, "covariance has non-finite entries"),
         ],
         ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap", "bandwidth_underflow",
-             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow",
-             "rate_no_data_mass", "anticoncentration_no_data_mass"],
+             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow"],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
         assert run_cli(tmp_path, subcommand, scenario, params) == 3
         assert "Traceback" not in capsys.readouterr().err
@@ -466,3 +471,24 @@ class TestMainEntry:
         assert main(["--config", str(path), "--seed", "99", "--output", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+
+STARTUP = """
+import sys
+from supgauss import cli, scenarios
+loaded = lambda: [m for m in ("scipy.special", "scipy.interpolate") if m in sys.modules]
+seen = [loaded()]
+for stype in ("series_mean", "kernel_density"):
+    scenarios.design(cli.scenario_from_config({"type": stype}), 500)
+    seen.append(loaded())
+print(seen)
+"""
+
+
+def test_startup_imports_no_unused_scipy_submodule():
+    """The CLI and the default designs load scipy.special only for the Beta density, scipy.interpolate never."""
+    src = str(Path(supgauss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", STARTUP], env=env, capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == str([[], [], ["scipy.special"]])

@@ -43,6 +43,12 @@ class TestCoveringNumber:
         with pytest.raises(ValueError, match="degenerate envelope"):
             covering_number(cls, q, 0.5)
 
+    def test_class_without_envelope_rejected(self):
+        cls = DiscretizedClass(evaluate=lambda idx: np.ones((len(idx), 2)), size=2)
+        with pytest.raises(ValueError, match="need a class envelope"):
+            covering_number(cls, DiscreteMeasure.uniform(np.arange(2)), 0.5)
+        assert product_class(cls, DiscretizedClass.from_matrix(np.ones((2, 1)))).envelope is None
+
     def test_non_probability_weights_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.arange(2), np.array([0.5, 0.6]))
