@@ -134,9 +134,10 @@ class TruncNorm:
     def density(self, t):
         t = np.asarray(t, dtype=float)
         fa, fb = self.cdf_bounds()
-        z = (t - self.mu) / self.sd
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-        out = phi / (self.sd * (fb - fa))
+        with np.errstate(over="ignore"):  # a subnormal sd: z and the peak run to inf, which studentization reports
+            z = (t - self.mu) / self.sd
+            phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            out = phi / (self.sd * (fb - fa))
         return np.where((t >= self.lo) & (t <= self.hi), out, 0.0)
 
     def sample(self, gen, n):
@@ -450,13 +451,18 @@ def fourier_trig_basis(K: int):
 
     def psi(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.size, K))
-        out[:, 0] = 1.0
-        # exp(2 pi i f x) for f = 1 .. K // 2 as powers of one complex exponential
-        z = np.cumprod(np.repeat(np.exp(2j * math.pi * x)[:, None], K // 2, axis=1), axis=1)
-        out[:, 1::2] = math.sqrt(2.0) * z.real
-        out[:, 2::2] = math.sqrt(2.0) * z.imag[:, : (K - 1) // 2]
-        return out
+        out = np.empty((K, x.size))
+        out[0] = 1.0
+        # rows 2f - 1, 2f: cos, sin of 2 pi f x from the running power z^f of z = exp(2 pi i x)
+        z = np.exp(2j * math.pi * x)
+        zf = np.ones_like(z)
+        for f in range(1, K // 2 + 1):
+            zf *= z
+            out[2 * f - 1] = zf.real
+            if 2 * f < K:
+                out[2 * f] = zf.imag
+        out[1:] *= math.sqrt(2.0)
+        return out.T
 
     return psi
 
@@ -473,7 +479,7 @@ def legendre_basis(K: int):
         P[0], P[1:2] = 1.0, z
         for k in range(1, K - 1):  # (k + 1) P_{k+1} = (2k + 1) z P_k - k P_{k-1}
             P[k + 1] = ((2 * k + 1) * z * P[k] - k * P[k - 1]) / (k + 1)
-        return P.T * np.sqrt(2.0 * np.arange(K) + 1.0)
+        return (P * np.sqrt(2.0 * np.arange(K) + 1.0)[:, None]).T
 
     return psi
 
@@ -598,7 +604,7 @@ def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
-    """Series design: alpha functionals, noise matrix, grid covariance (rank <= K)."""
+    """Series design: alpha functionals, noise matrix, grid covariance (rank <= K per level) and its exact factor."""
     if n < 3:
         raise ValueError("sample size must be at least 3")
     try:
@@ -646,7 +652,9 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     col = np.tile(np.arange(level_scale.size), xg.size)  # level of each column
     alpha = np.repeat(base_alpha, level_scale.size, axis=0) * level_scale[col, None]
     sigma = (alpha @ gram @ alpha.T) * level_cov[np.ix_(col, col)]
-    cov = CovarianceModel.from_matrix(sigma)
+    # the analogue alpha(x)^T Omega^{1/2} N_K per level, levels correlated by level_cov: sigma = L L^T exactly
+    factor = np.kron(base_alpha @ _spd_sqrt(gram), level_scale[:, None] * _spd_sqrt(level_cov))
+    cov = CovarianceModel.from_matrix(sigma, factor)
 
     def parts(batch):
         eta, x = batch

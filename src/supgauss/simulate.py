@@ -97,7 +97,7 @@ class SupSample:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """An N x N covariance with a lower-triangular factor enabling exact sampling."""
+    """An N x N covariance with a factor L, sigma = L L^T, enabling exact sampling: Cholesky or a given (N, rank) L."""
 
     sigma: np.ndarray
     factor: np.ndarray
@@ -106,8 +106,8 @@ class CovarianceModel:
     RIDGE_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
     @classmethod
-    def from_matrix(cls, sigma: np.ndarray) -> "CovarianceModel":
-        """Factorize, adding the minimal ridge from the ladder that succeeds."""
+    def from_matrix(cls, sigma: np.ndarray, factor: np.ndarray | None = None) -> "CovarianceModel":
+        """Factorize, adding the minimal ridge from the ladder that succeeds, unless an exact factor is given."""
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be square")
@@ -117,6 +117,8 @@ class CovarianceModel:
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ValueError("covariance is not symmetric")
         sigma = 0.5 * (sigma + sigma.T)
+        if factor is not None:
+            return cls(sigma=sigma, factor=factor)
         for shift in cls.RIDGE_LADDER:
             try:
                 factor = np.linalg.cholesky(sigma + shift * np.eye(sigma.shape[0]))
@@ -204,11 +206,11 @@ def gaussian_sup_sample(
     over the class closed under negation.
     """
     LT = cov.factor.T
-    dim = cov.dim
+    rank = LT.shape[0]  # the factor's columns: dim for a Cholesky factor
 
     def block(b: int, m: int) -> np.ndarray:
-        # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
-        return _sup(rng.stream_of(b).standard_normal((m, dim)) @ LT, absolute)
+        # a (m, rank) fill draws the same numbers as m successive standard_normal(rank) calls
+        return _sup(rng.stream_of(b).standard_normal((m, rank)) @ LT, absolute)
 
     values = _run_blocks(block, R, GAUSS_BLOCK, threads)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=0)

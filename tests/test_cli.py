@@ -485,10 +485,26 @@ print(seen)
 """
 
 
-def test_startup_imports_no_unused_scipy_submodule():
-    """The CLI and the default designs load scipy.special only for the Beta density, scipy.interpolate never."""
+def run_fresh(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter that imports this checkout's supgauss."""
     src = str(Path(supgauss.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", STARTUP], env=env, capture_output=True, text=True, check=True,
-                         timeout=120).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_startup_imports_no_unused_scipy_submodule():
+    """The CLI and the default designs load scipy.special only for the Beta density, scipy.interpolate never."""
+    out = run_fresh("-c", STARTUP, check=True).stdout
     assert out.strip() == str([[], [], ["scipy.special"]])
+
+
+def test_subnormal_sd_exits_3_without_runtime_warning(tmp_path):
+    """A subnormal truncnorm sd overflows the density; the run reports zero variance and leaks no numpy warning."""
+    scenario = {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 5e-324}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "rate", "seed": 6, "scenario": scenario, "params": TINY_PARAMS["rate"]}))
+    proc = run_fresh("-m", "supgauss.cli", "--config", str(path), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "zero variance at grid point 0.1: studentization undefined" in summary

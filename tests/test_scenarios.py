@@ -258,6 +258,28 @@ class TestSeriesDesign:
         assert d.cov.dim == 10
 
 
+FACTOR_SCENARIOS = {
+    **{f"{basis}_{noise}": (lambda basis=basis, factory=factory: factory(basis=basis))
+       for basis in BASES for noise, factory in (("mean", series_mean_scenario), ("quantile", series_quantile_scenario))},
+    # a repeated level makes the level covariance singular
+    "fourier_trig_repeated_level": lambda: series_quantile_scenario(tau_grid=(0.5, 0.5), grid_points=8),
+}
+
+
+class TestSeriesFactor:
+    """The Gaussian analogue samples alpha(x)^T Omega^{1/2} N_K per level: an exact factor of rank K * levels."""
+
+    @pytest.mark.parametrize("n", [500, 2000, 8000])
+    @pytest.mark.parametrize("name", sorted(FACTOR_SCENARIOS))
+    def test_exact_factor_without_ridge(self, name, n):
+        d = design(FACTOR_SCENARIOS[name](), n)
+        levels = d.cls.size // len(d.scenario.x_grid)
+        L = d.cov.factor
+        assert d.cov.repair_shift == 0
+        assert L.shape == (d.cls.size, d.K * levels)
+        assert np.abs(d.cov.sigma - L @ L.T).max() <= 1e-14
+
+
 def _quantile_scenario():
     return SeriesScenario(
         basis="legendre", K_rule=lambda n: 4,
@@ -329,6 +351,13 @@ FAST_PATH_SCENARIOS = {
             basis=basis, K_rule=lambda n: math.ceil(n ** (1.0 / 3.0)), x_grid=np.linspace(0, 1, 16), noise_model=noise,
         ))
         for basis in BASES for noise in ("mean", "quantile")
+    },
+    # K = ceil(n^{1/2}): 90 basis functions at n = 8000
+    **{
+        f"fourier_trig_k90_{noise}": (lambda noise=noise: SeriesScenario(
+            basis="fourier_trig", K_rule=lambda n: math.ceil(n**0.5), x_grid=np.linspace(0, 1, 16), noise_model=noise,
+        ))
+        for noise in ("mean", "quantile")
     },
 }
 # |sum_columns - evaluate().sum(0)| per column, relative to the column's sum of |summands|
@@ -455,15 +484,18 @@ class TestBases:
         assert vals[0] == 1.0
 
     # the recurrences against the closed forms, within 1e-12 of each column's
-    # sup norm (sqrt 2 for Fourier, sqrt(2k + 1) for Legendre degree k)
-    @pytest.mark.parametrize("K", [1, 2, 20, 128])
+    # sup norm (sqrt 2 for Fourier, sqrt(2k + 1) for Legendre degree k);
+    # an even K ends on a cosine column, an odd K > 1 on a sine column
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 13, 20, 128])
     def test_fourier_matches_cos_sin(self, K):
         x = np.concatenate([np.linspace(0, 1, 8001), RngPolicy(49).stream_of(K).random(8000)])
         freq = (np.arange(K) + 1) // 2
         arg = 2.0 * math.pi * freq * x[:, None]
         want = np.where(np.arange(K) % 2 == 1, math.sqrt(2.0) * np.cos(arg), math.sqrt(2.0) * np.sin(arg))
         want[:, 0] = 1.0
-        assert np.abs(BASES["fourier_trig"](K)(x) - want).max() <= 1e-12 * math.sqrt(2.0)
+        got = BASES["fourier_trig"](K)(x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * math.sqrt(2.0)
 
     @pytest.mark.parametrize("K", [1, 2, 20, 128])
     def test_legendre_matches_eval_legendre(self, K):

@@ -104,6 +104,16 @@ class TestCovarianceModel:
         with pytest.raises(CovarianceError, match="badly conditioned"):
             CovarianceModel.from_matrix(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_given_factor_is_kept_without_ridge(self):
+        L = np.array([[1.0], [2.0], [-0.5]])  # rank one: Cholesky needs the ridge, the given factor does not
+        m = CovarianceModel.from_matrix(L @ L.T, L)
+        assert m.factor is L and m.repair_shift == 0.0
+        np.testing.assert_allclose(m.sigma, L @ L.T, rtol=0, atol=1e-15)
+
+    def test_given_factor_still_rejects_non_finite(self):
+        with pytest.raises(CovarianceError, match="non-finite"):
+            CovarianceModel.from_matrix(np.array([[np.nan]]), np.ones((1, 1)))
+
 
 class TestEmpiricalSup:
     def test_constant_zero_function(self):
@@ -228,6 +238,16 @@ class TestBlockLayout:
             gen = rng.stream_of(b)
             expected += [float((cov.factor @ gen.standard_normal(cov.dim)).max()) for _ in range(m)]
         # sorting moves no value by more than the largest elementwise difference
+        np.testing.assert_allclose(gaussian_sup_sample(cov, R, rng).values, np.sort(expected), rtol=0, atol=1e-13)
+
+    def test_rank_deficient_factor_draws_its_rank_per_replication(self):
+        L = RngPolicy(96).stream_of(0).standard_normal((24, 5))
+        cov = CovarianceModel.from_matrix(L @ L.T, L)
+        rng, R = RngPolicy(97), GAUSS_BLOCK + 37
+        expected = []
+        for b, m in ((0, GAUSS_BLOCK), (1, 37)):
+            gen = rng.stream_of(b)
+            expected += [float((L @ gen.standard_normal(5)).max()) for _ in range(m)]
         np.testing.assert_allclose(gaussian_sup_sample(cov, R, rng).values, np.sort(expected), rtol=0, atol=1e-13)
 
     def test_empirical_replications_are_successive_draws_of_block_stream(self):
