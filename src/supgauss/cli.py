@@ -98,8 +98,8 @@ def validate(config_text: str):
         err("scenario", "scenario must be an object")
         scenario = {}
 
-    problems = _unknown_keys(params, PARAM_KEYS[sub], "params", sub) if sub in SUBCOMMANDS else []
-    for path, message in problems + _rule_problems(params, {**PARAM_RULES["*"], **PARAM_RULES.get(str(sub), {})}, "params"):
+    problems = _unknown_keys(params, _keyword_defaults(RUNNERS[sub]), "params", sub) if sub in SUBCOMMANDS else []
+    for path, message in problems + _rule_problems(params, PARAM_RULES, "params"):
         err(path, message)
     if sub == "coupling-bounds":
         for path, message in _moment_problems(params.get("moments")):
@@ -141,35 +141,25 @@ _NUMBER = (_is_number, "a finite number")
 _N = (_int_from(3), "an integer >= 3 (the coupling constructions assume n >= 3)")
 _COUNT = (_int_from(1), "a positive integer")
 
-# key -> (check, what the value must be) for the params each subcommand reads; "*" holds for all
+# rules of the params keys; which keys a subcommand takes is its runner's signature
 PARAM_RULES = {
-    "*": {"n": _N, "replications": _COUNT, "R_outer": _COUNT, "R_inner": _COUNT,
-          "alpha": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
-          "epsilons": (lambda v: isinstance(v, list) and v and all(_is_number(e) and e > 0 for e in v),
-                       "a nonempty list of positive numbers"),
-          "delta": _POSITIVE},
-    "smoothmax-check": {"draws": (_int_from(0), "a nonnegative integer"),
-                        "deriv_draws": (_int_from(0), "a nonnegative integer"), "p_max": _COUNT},
-    "coupling-bounds": {"epsilon": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
-                        "gamma": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
-                        "K_q": _POSITIVE, "c_const": _POSITIVE, "C_log": _POSITIVE},
-    "coupling-crossover": {"b": _POSITIVE, "n_exponents": (
-        lambda v: isinstance(v, list) and v and all(_int_from(2)(e) and e <= 1023 for e in v),
-        "a nonempty list of integers from 2 to 1023 (n = 2^e must be at least 3 and a float)")},
-    "rate": {"n_list": (lambda v: isinstance(v, list) and len(v) >= 3 and all(map(_int_from(3), v))
-                        and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of at least 3 "
-                        "integers n >= 3 (the coupling constructions assume n >= 3)")},
-    "bands": {"side": _one_of(("two_sided", "one_sided_lower")), "target": _one_of(("exact_centered",))},
+    "n": _N, "replications": _COUNT, "R_outer": _COUNT, "R_inner": _COUNT, "delta": _POSITIVE, "b": _POSITIVE,
+    "alpha": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+    "epsilons": (lambda v: isinstance(v, list) and v and all(_is_number(e) and e > 0 for e in v),
+                 "a nonempty list of positive numbers"),
+    "draws": (_int_from(0), "a nonnegative integer"), "deriv_draws": (_int_from(0), "a nonnegative integer"),
+    "p_max": _COUNT, "epsilon": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "gamma": (lambda v: _is_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+    "K_q": _POSITIVE, "c_const": _POSITIVE, "C_log": _POSITIVE,
+    "n_exponents": (lambda v: isinstance(v, list) and v and all(_int_from(2)(e) and e <= 1023 for e in v),
+                    "a nonempty list of integers from 2 to 1023 (n = 2^e must be at least 3 and a float)"),
+    "n_list": (lambda v: isinstance(v, list) and len(v) >= 3 and all(map(_int_from(3), v))
+               and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of at least 3 "
+               "integers n >= 3 (the coupling constructions assume n >= 3)"),
+    "side": _one_of(("two_sided", "one_sided_lower")),
 }
-# params each subcommand's runner reads; any other key is rejected
-PARAM_KEYS = {"smoothmax-check": ("draws", "deriv_draws", "p_max"),
-              "coupling-bounds": ("moments", "n", "epsilon", "gamma", "K_q", "c_const", "C_log"),
-              "coupling-crossover": ("n_exponents", "delta", "b"), "rate": ("n_list", "replications"),
-              "bands": ("n", "alpha", "R_outer", "R_inner", "side", "target"),
-              "anticoncentration": ("n", "replications", "epsilons")}
-SUBCOMMANDS = tuple(PARAM_KEYS)
 MOMENT_RULES = {"sigma": _NONNEGATIVE, "b": _POSITIVE, "q": (lambda v: _is_number(v) and v >= 3, "a number >= 3"),
-                "M2": _NONNEGATIVE, "Mq": _NONNEGATIVE, "kappa": _POSITIVE, "EG_FF": _NONNEGATIVE, "n": _N,
+                "M2": _NONNEGATIVE, "Mq": _NONNEGATIVE, "kappa": _POSITIVE, "EG_FF": _NONNEGATIVE,
                 "A": _POSITIVE, "v": _POSITIVE}
 # profile -> type -> rules of its (required) fields
 PROFILE_RULES = {"H": {"constant": {"value": _NUMBER}, "vc": {"A": _POSITIVE, "v": _NONNEGATIVE}},
@@ -209,9 +199,11 @@ def _moment_problems(m) -> list[tuple[str, str]]:
             problems.append((f"params.moments.{key}.type", f"{key} must be an object of type {' or '.join(kinds)}"))
         else:
             rules = kinds[spec["type"]]
+            problems += _unknown_keys(spec, ("type", *rules), f"params.moments.{key}", f"a {spec['type']} {key}")
             problems += _rule_problems(spec, rules, f"params.moments.{key}", required=tuple(rules))
     phi = m.get("phi", {})
-    problems += (_rule_problems(phi, {"value": _NUMBER}, "params.moments.phi") if isinstance(phi, dict)
+    problems += (_unknown_keys(phi, ("value",), "params.moments.phi", "phi")
+                 + _rule_problems(phi, {"value": _NUMBER}, "params.moments.phi") if isinstance(phi, dict)
                  else [("params.moments.phi", "phi must be an object")])
     if problems:
         return problems
@@ -256,8 +248,10 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
 
 
 def _keyword_defaults(factory) -> dict:
-    """name -> default of each keyword a scenario factory or data law takes: the schema of its config block."""
-    return {name: p.default for name, p in inspect.signature(factory).parameters.items()}
+    """name -> default of each keyword a scenario factory, data law or runner takes: the schema of its config
+    block.  A runner's positional-only parameters (the run config and output directory) are not keys."""
+    return {name: p.default for name, p in inspect.signature(factory).parameters.items()
+            if p.kind is not p.POSITIONAL_ONLY}
 
 
 def _unknown_keys(obj: dict, known, prefix: str, owner: str) -> list[tuple[str, str]]:
@@ -311,11 +305,8 @@ def write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_smoothmax_check(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
-    draws = int(p.get("draws", 20_000))
-    deriv_draws = int(p.get("deriv_draws", 5_000))
-    p_max = int(p.get("p_max", 1000))
+def _run_smoothmax_check(cfg: RunConfig, outdir: Path, /, draws=20_000, deriv_draws=5_000,
+                         p_max=1000) -> tuple[list[str], bool]:
     rng = RngPolicy(cfg.seed)
     gen = rng.stream_of(0)
     sandwich_viol = 0
@@ -365,7 +356,7 @@ def _run_smoothmax_check(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]
             struct_viol += 1
 
     suites = [
-        ("sandwich", draws, sandwich_viol),
+        ("sandwich", batches * per, sandwich_viol),
         ("gradient_simplex", deriv_draws, simplex_viol),
         ("hessian_abs_sum", deriv_draws, wsum_viol),
         ("third_deriv_abs_sum", deriv_draws, qsum_viol),
@@ -387,8 +378,7 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
     else:  # "vc"; validate admits no other type
         A, v = float(hspec["A"]), float(hspec["v"])
         H = lambda eps: max(math.log(n), v * math.log(A / eps))
-    pspec = m.get("phi", {"type": "constant", "value": 0.0})
-    phi_val = float(pspec.get("value", 0.0))
+    phi_val = float(m.get("phi", {}).get("value", 0.0))
     phi = lambda eps: phi_val
     tspec = m.get("tail", {"type": "zero"})
     if tspec["type"] == "zero":
@@ -410,31 +400,16 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
     )
 
 
-def _run_coupling_bounds(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
-    m = p["moments"]
-    n = int(p.get("n", m.get("n", 1000)))
-    inputs = _moment_inputs_from_config(m, n)
-    budget = bounds_mod.coupling_budget(
-        inputs,
-        epsilon=float(p.get("epsilon", 0.05)),
-        gamma=float(p.get("gamma", 0.1)),
-        K_q=float(p.get("K_q", 1.0)),
-        c_const=float(p.get("c_const", 1.0)),
-        C_log=float(p.get("C_log", 1.0)),
-    )
-    report = {"inputs": {k: v for k, v in m.items()}, "n": n, "budget": budget.as_dict()}
-    if "A" in m and "v" in m:
-        vc = bounds_mod.vc_class_budget(
-            n=n,
-            gamma=float(p.get("gamma", 0.1)),
-            q=float(m["q"]),
-            b=float(m["b"]),
-            sigma=float(m["sigma"]),
-            A=float(m["A"]),
-            v=float(m["v"]),
-            c_const=float(p.get("c_const", 1.0)),
-        )
+def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsilon=0.05, gamma=0.1, K_q=1.0,
+                         c_const=1.0, C_log=1.0) -> tuple[list[str], bool]:
+    # float() so that a JSON int such as K_q 1 reaches the report as 1.0, as the defaults do
+    gamma, c_const = float(gamma), float(c_const)
+    budget = bounds_mod.coupling_budget(_moment_inputs_from_config(moments, n), epsilon=float(epsilon), gamma=gamma,
+                                        K_q=float(K_q), c_const=c_const, C_log=float(C_log))
+    report = {"inputs": dict(moments), "n": n, "budget": budget.as_dict()}
+    if "A" in moments and "v" in moments:
+        vc = bounds_mod.vc_class_budget(n=n, gamma=gamma, c_const=c_const,
+                                        **{key: float(moments[key]) for key in ("q", "b", "sigma", "A", "v")})
         report["vc_budget"] = {
             "terms": vc.terms,
             "total": vc.total,
@@ -456,12 +431,9 @@ def _run_coupling_bounds(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]
     return lines, True
 
 
-def _run_crossover(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
-    exponents = p.get("n_exponents", list(range(8, 17)))
-    n_list = [2**e for e in exponents]
-    delta = float(p.get("delta", 50.0))
-    rows, crossover_n = bounds_mod.crossover_sweep(n_list, delta=delta, b=float(p.get("b", 1.0)))
+def _run_crossover(cfg: RunConfig, outdir: Path, /, n_exponents=tuple(range(8, 17)), delta=50.0,
+                   b=1.0) -> tuple[list[str], bool]:
+    rows, crossover_n = bounds_mod.crossover_sweep([2**e for e in n_exponents], delta=float(delta), b=float(b))
     write_csv(
         outdir / "crossover.csv",
         ["n", "p", "maxima_coupling_bound", "whole_vector_bound"],
@@ -485,16 +457,9 @@ def _run_crossover(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
     return lines, monotone and crossover_n is not None
 
 
-def _run_rate(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
+def _run_rate(cfg: RunConfig, outdir: Path, /, n_list=(500, 2000, 8000), replications=2000) -> tuple[list[str], bool]:
     scenario = scenario_from_config(cfg.scenario)
-    table = scn_mod.rate_experiment(
-        scenario,
-        p.get("n_list", [500, 2000, 8000]),
-        R=int(p.get("replications", 2000)),
-        rng=RngPolicy(cfg.seed),
-        threads=cfg.threads,
-    )
+    table = scn_mod.rate_experiment(scenario, n_list, R=replications, rng=RngPolicy(cfg.seed), threads=cfg.threads)
     write_csv(
         outdir / "rate.csv",
         ["n", "ks", "ks_conf", "predicted_rate", "slope_fit"],
@@ -506,19 +471,11 @@ def _run_rate(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
     return lines, True
 
 
-def _run_bands(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
+def _run_bands(cfg: RunConfig, outdir: Path, /, n=2000, alpha=0.05, R_outer=500, R_inner=4000,
+               side="two_sided") -> tuple[list[str], bool]:
     scenario = scenario_from_config(cfg.scenario)
-    report, band = coverage_experiment(
-        scenario,
-        alpha=float(p.get("alpha", 0.05)),
-        n=int(p.get("n", 2000)),
-        R_outer=int(p.get("R_outer", 500)),
-        R_inner=int(p.get("R_inner", 4000)),
-        rng=RngPolicy(cfg.seed),
-        side=p.get("side", "two_sided"),
-        threads=cfg.threads,
-    )
+    report, band = coverage_experiment(scenario, alpha=float(alpha), n=n, R_outer=R_outer, R_inner=R_inner,
+                                       rng=RngPolicy(cfg.seed), side=side, threads=cfg.threads)
     write_csv(
         outdir / "band.csv",
         ["x", "lower", "upper"],
@@ -543,17 +500,15 @@ def _run_bands(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
     return lines, True
 
 
-def _run_anticoncentration(cfg: RunConfig, outdir: Path) -> tuple[list[str], bool]:
-    p = cfg.params
+def _run_anticoncentration(cfg: RunConfig, outdir: Path, /, n=2000, replications=100_000,
+                           epsilons=(0.01, 0.02, 0.05, 0.1, 0.2)) -> tuple[list[str], bool]:
     scenario = scenario_from_config(cfg.scenario)
-    n = int(p.get("n", 2000))
-    R = int(p.get("replications", 100_000))
-    eps_list = [float(e) for e in p.get("epsilons", [0.01, 0.02, 0.05, 0.1, 0.2])]
-    gauss = gaussian_sup_sample(scn_mod.design(scenario, n).cov, R, RngPolicy(cfg.seed), threads=cfg.threads)
+    gauss = gaussian_sup_sample(scn_mod.design(scenario, n).cov, replications, RngPolicy(cfg.seed),
+                                threads=cfg.threads)
     mean = float(gauss.values.mean())
     rows = []
     ok = True
-    for eps in eps_list:
+    for eps in map(float, epsilons):
         lev = levy_concentration(gauss, eps)
         bound = 3.0 * eps * (mean + math.sqrt(max(1.0, math.log(1.0 / eps))))
         good = lev <= bound
@@ -565,6 +520,7 @@ def _run_anticoncentration(cfg: RunConfig, outdir: Path) -> tuple[list[str], boo
     return lines, ok
 
 
+# subcommand -> runner; a runner's keyword parameters are the keys and defaults of its params block
 RUNNERS = {
     "smoothmax-check": _run_smoothmax_check,
     "coupling-bounds": _run_coupling_bounds,
@@ -573,6 +529,7 @@ RUNNERS = {
     "bands": _run_bands,
     "anticoncentration": _run_anticoncentration,
 }
+SUBCOMMANDS = tuple(RUNNERS)
 
 
 def run(config: RunConfig) -> int:
@@ -581,7 +538,7 @@ def run(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
-        lines, ok = RUNNERS[config.subcommand](config, outdir)
+        lines, ok = RUNNERS[config.subcommand](config, outdir, **config.params)
     except (CovarianceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         (outdir / "summary.txt").write_text(f"numerical failure: {exc}\n", encoding="utf-8")
         return 3

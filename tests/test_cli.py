@@ -365,16 +365,34 @@ class TestClosedFormContract:
             ("coupling-bounds", {"moments": {**MOMENTS, "kapa": 5.0}}, "params.moments.kapa"),
             ("coupling-crossover", {"n_exponent": [8, 9]}, "params.n_exponent"),
             ("smoothmax-check", {"delta": 2.0}, "params.delta"),
+            # keys a moment profile does not take, and the sample size that only params.n sets
+            ("coupling-bounds", {"moments": {**MOMENTS, "phi": {"valeu": 0.3}}}, "params.moments.phi.valeu"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "phi": {"type": "constant", "value": 0.3}}},
+             "params.moments.phi.type"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "H": {"type": "constant", "value": 9, "extra": 1}}},
+             "params.moments.H.extra"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "H": {"type": "vc", "A": 3.0, "v": 1.0, "value": 9}}},
+             "params.moments.H.value"),
+            ("coupling-bounds", {"moments": {**MOMENTS, "tail": {"type": "zero", "ratio": 0.5}}},
+             "params.moments.tail.ratio"),
+            ("coupling-bounds", {"n": 500, "moments": {**MOMENTS, "n": 100000}}, "params.moments.n"),
         ],
         ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
              "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string", "retired_p_or_N",
-             "misspelled_kappa", "misspelled_n_exponents", "crossover_key_under_smoothmax"],
+             "misspelled_kappa", "misspelled_n_exponents", "crossover_key_under_smoothmax", "misspelled_phi_value",
+             "phi_type", "constant_H_extra_key", "vc_H_value", "zero_tail_ratio", "moments_n"],
     )
     def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_closed_form(tmp_path, subcommand, params) == 2
         err = capsys.readouterr().err
         assert f"{anchor}:" in err
         assert "Traceback" not in err
+
+    def test_sandwich_line_counts_the_vectors_checked(self, tmp_path):
+        """draws = 100 runs 40 batches of 100 // 40 = 2 vectors, so 80 are checked."""
+        assert run_closed_form(tmp_path, "smoothmax-check", {"draws": 100, "deriv_draws": 10, "p_max": 5}) == 0
+        assert "sandwich: 80 checks, 0 violations" in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert (tmp_path / "out" / "smoothmax_check.csv").read_text().splitlines()[1] == "sandwich,80,0"
 
     @pytest.mark.parametrize(
         "subcommand, params, message",

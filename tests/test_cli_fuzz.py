@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from supgauss.cli import PARAM_KEYS, main
+from supgauss.cli import RUNNERS, _keyword_defaults, main
 from supgauss.scenarios import SCENARIO_TYPES
 
 # scenario configs: every key a type's factory takes, drawn valid by construction (grids inside the
@@ -90,7 +90,8 @@ def mutations(cfg):
     bad_param = st.sampled_from(sorted(params)).flatmap(lambda key: st.sampled_from(PARAM_BAD[key]).map(
         lambda v: ({**cfg, "params": {**params, key: v}}, f"params.{key}")))
     # a key another subcommand reads, or a misspelt one: the runner would silently ignore it
-    others = sorted({key for keys in PARAM_KEYS.values() for key in keys} - set(PARAM_KEYS[cfg["subcommand"]]))
+    others = sorted({key for runner in RUNNERS.values() for key in _keyword_defaults(runner)}
+                    - set(_keyword_defaults(RUNNERS[cfg["subcommand"]])))
     unknown_param = st.sampled_from(others + ["replicatons", "R_outter", "n_lsit", "threads"]).map(
         lambda key: ({**cfg, "params": {**params, key: 5}}, f"params.{key}"))
     mutants = [bad_value, unknown_key, bad_param, unknown_param]
@@ -138,8 +139,7 @@ profiles = {
 moments = maybe_mutated(st.fixed_dictionaries(
     {"sigma": st.floats(0.0, 1.0), "b": st.one_of(st.floats(1.0, 2.0), positive), "q": st.floats(3.0, 8.0)},
     optional={"M2": st.floats(0.0, 1.0), "Mq": st.floats(1.0, 3.0), "kappa": st.floats(0.01, 3.0),
-              "EG_FF": st.floats(0.0, 3.0), "A": st.floats(3.0, 10.0), "v": st.floats(0.5, 3.0),
-              "n": st.integers(3, 10**6), **profiles},
+              "EG_FF": st.floats(0.0, 3.0), "A": st.floats(3.0, 10.0), "v": st.floats(0.5, 3.0), **profiles},
 ))
 closed_form = {
     "smoothmax-check": maybe_mutated(st.fixed_dictionaries(

@@ -1,4 +1,5 @@
-"""Every python snippet in README.md runs as written, and its scenario key table matches the factories."""
+"""Every python snippet in README.md runs as written, every JSON config in it validates, and its scenario
+and params key tables match the scenario factories and the subcommand runners."""
 
 import inspect
 import itertools
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from supgauss.cli import RUNNERS, _keyword_defaults, validate
 from supgauss.scenarios import SCENARIO_TYPES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SNIPPETS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+CONFIGS = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
 
 
 def test_readme_has_python_snippets():
@@ -23,17 +26,47 @@ def test_readme_snippet_runs(snippet, capsys):
     assert capsys.readouterr().out
 
 
+def json_spelling(default):
+    """A signature default as a README table spells it in JSON: an absent law_params is {}, a tuple a list."""
+    return {} if default is None else list(default) if isinstance(default, tuple) else default
+
+
+def table_at(header_start: str, marker: str) -> list[list[str]]:
+    """The cells of the README table whose header line starts with header_start and holds marker."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header_start) and marker in line)
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+
+
 def test_scenario_key_table_matches_the_factories():
     """The README's scenario key table lists exactly each factory's keywords, with their defaults."""
-    lines = README.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("| key") and "`kernel_density`" in line)
-    table = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
-             for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    table = table_at("| key", "`kernel_density`")
     header, rows = table[0], table[2:]
     assert header[1:4] == list(SCENARIO_TYPES)
     for column, stype in enumerate(header[1:4], start=1):
         documented = {row[0]: eval(row[column], {}) for row in rows if row[column]}
         defaults = {name: p.default for name, p in inspect.signature(SCENARIO_TYPES[stype]).parameters.items()}
-        # JSON spelling of the defaults: an absent law_params is {}, a tuple a list
-        assert documented == {key: {} if v is None else list(v) if isinstance(v, tuple) else v
-                              for key, v in defaults.items()}
+        assert documented == {key: json_spelling(v) for key, v in defaults.items()}
+
+
+def test_params_table_matches_the_runners():
+    """The README's params table lists exactly each runner's keywords, with their defaults ("required": none)."""
+    table = table_at("| subcommand", "| key")
+    assert table[0][:3] == ["subcommand", "key", "default"]
+    documented, sub = {}, None
+    for row in table[2:]:
+        sub = row[0] or sub  # an empty subcommand cell continues the one above
+        documented[sub, row[1]] = row[2] if row[2] == "required" else eval(row[2], {})
+    expected = {(sub, name): "required" if default is inspect.Parameter.empty else json_spelling(default)
+                for sub, runner in RUNNERS.items() for name, default in _keyword_defaults(runner).items()}
+    assert documented == expected
+
+
+def test_readme_has_json_configs():
+    assert len(CONFIGS) >= 2
+
+
+@pytest.mark.parametrize("text", CONFIGS, ids=[f"config_{i}" for i in range(len(CONFIGS))])
+def test_readme_json_configs_validate(text):
+    assert validate(text)[1] == []
