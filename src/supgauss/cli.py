@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import scenarios as scn_mod
 from .bands import coverage_experiment
@@ -549,7 +550,7 @@ def run(config: RunConfig) -> int:
         "config": config.echo(),
         "seed": config.seed,
         "versions": {
-            "supgauss": _package_version(),
+            "supgauss": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
@@ -560,15 +561,6 @@ def run(config: RunConfig) -> int:
     summary = "\n".join([f"subcommand: {config.subcommand}", f"seed: {config.seed}"] + lines) + "\n"
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")
     return 0 if ok else 3
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("supgauss")
-    except Exception:
-        return "0.1.0"
 
 
 def main(argv=None) -> int:

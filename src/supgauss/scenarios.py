@@ -597,14 +597,8 @@ class SeriesDesign:
         return self.n ** (-1.0 / 6.0) * xi_n(self.scenario, self.K) ** (1.0 / 3.0) * math.log(self.n)
 
 
-def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
-    """Series design: alpha functionals, noise matrix, grid covariance (rank <= K per level) and its exact factor."""
+    """Series design: alpha functionals, noise matrix and grid covariance (rank <= K per level)."""
     if n < 3:
         raise ValueError("sample size must be at least 3")
     try:
@@ -646,15 +640,13 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
         def scores(eta):
             return taus[None, :] - (eta[:, None] <= taus[None, :])  # (n, n_tau)
 
-    A1 = np.linalg.inv(gram)
-    A2 = _spd_sqrt(gram) @ A1
-    base_alpha = _safe_normalize(Pg @ A1.T, np.linalg.norm(Pg @ A2.T, axis=1))  # (nx, K)
+    # alpha(x) = Omega^{-1} psi(x) / ||Omega^{1/2} Omega^{-1} psi(x)||; the norm is never 0, every basis spans 1
+    PA = Pg @ np.linalg.inv(gram)
+    base_alpha = PA / np.sqrt(np.einsum("jk,jk->j", PA, Pg))[:, None]  # (nx, K)
     col = np.tile(np.arange(level_scale.size), xg.size)  # level of each column
     alpha = np.repeat(base_alpha, level_scale.size, axis=0) * level_scale[col, None]
     sigma = (alpha @ gram @ alpha.T) * level_cov[np.ix_(col, col)]
-    # the analogue alpha(x)^T Omega^{1/2} N_K per level, levels correlated by level_cov: sigma = L L^T exactly
-    factor = np.kron(base_alpha @ _spd_sqrt(gram), level_scale[:, None] * _spd_sqrt(level_cov))
-    cov = CovarianceModel.from_matrix(sigma, factor)
+    cov = CovarianceModel.from_matrix(sigma)
 
     def parts(batch):
         eta, x = batch
@@ -677,18 +669,6 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
         scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=gram, cov=cov, cls=cls,
         sampler=sampler, tau_of_col=None if scn.noise_model == "mean" else col,
     )
-
-
-def _safe_normalize(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Row-normalize, mapping 0/0 to 0 with a warning."""
-    import warnings
-
-    out = np.zeros_like(numer)
-    ok = denom > 0
-    if not np.all(ok):
-        warnings.warn("zero normalizer at some grid points; applying the 0/0 = 0 convention")
-    out[ok] = numer[ok] / denom[ok, None]
-    return out
 
 
 def design(scenario, n: int):

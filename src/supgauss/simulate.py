@@ -29,7 +29,7 @@ EMP_BLOCK = 8
 
 
 class CovarianceError(RuntimeError, ValueError):
-    """Raised when a covariance cannot be factorized within the ridge ladder, or studentized."""
+    """Raised when a covariance is non-finite or has a negative eigenvalue beyond rounding, or cannot be studentized."""
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,17 @@ class SupSample:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """An N x N covariance with a factor L, sigma = L L^T, enabling exact sampling: Cholesky or a given (N, rank) L."""
+    """An N x N covariance with its symmetric square root L, sigma = L L^T, enabling exact sampling."""
 
     sigma: np.ndarray
     factor: np.ndarray
-    repair_shift: float = 0.0
 
-    RIDGE_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+    # an eigenvalue below -NEGATIVE_TOL * max(1, max|sigma|) is not rounding: sigma is no covariance
+    NEGATIVE_TOL = 1e-6
 
     @classmethod
-    def from_matrix(cls, sigma: np.ndarray, factor: np.ndarray | None = None) -> "CovarianceModel":
-        """Factorize, adding the minimal ridge from the ladder that succeeds, unless an exact factor is given."""
+    def from_matrix(cls, sigma: np.ndarray) -> "CovarianceModel":
+        """Factorize by eigendecomposition; eigenvalues at or below dim * eps * lambda_max count as zero."""
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be square")
@@ -117,15 +117,13 @@ class CovarianceModel:
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise ValueError("covariance is not symmetric")
         sigma = 0.5 * (sigma + sigma.T)
-        if factor is not None:
-            return cls(sigma=sigma, factor=factor)
-        for shift in cls.RIDGE_LADDER:
-            try:
-                factor = np.linalg.cholesky(sigma + shift * np.eye(sigma.shape[0]))
-            except np.linalg.LinAlgError:
-                continue
-            return cls(sigma=sigma, factor=factor, repair_shift=shift)
-        raise CovarianceError("covariance badly conditioned")
+        vals, vecs = np.linalg.eigh(sigma)
+        if vals[0] < -cls.NEGATIVE_TOL * scale:
+            raise CovarianceError(f"covariance badly conditioned: smallest eigenvalue {vals[0]:.3g}")
+        cut = sigma.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
+        # the symmetric root, not a thin factor: it moves little when degenerate eigenvectors rotate
+        root = (vecs * np.sqrt(np.where(vals > cut, vals, 0.0))) @ vecs.T
+        return cls(sigma=sigma, factor=root)
 
     @property
     def dim(self) -> int:
@@ -134,7 +132,7 @@ class CovarianceModel:
     def scaled(self, c: float) -> "CovarianceModel":
         """Covariance of the process scaled by c (factor scales exactly by |c|)."""
         a = abs(float(c))
-        return CovarianceModel(self.sigma * a * a, self.factor * a, self.repair_shift * a * a)
+        return CovarianceModel(self.sigma * a * a, self.factor * a)
 
 
 def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
@@ -206,11 +204,10 @@ def gaussian_sup_sample(
     over the class closed under negation.
     """
     LT = cov.factor.T
-    rank = LT.shape[0]  # the factor's columns: dim for a Cholesky factor
 
     def block(b: int, m: int) -> np.ndarray:
-        # a (m, rank) fill draws the same numbers as m successive standard_normal(rank) calls
-        return _sup(rng.stream_of(b).standard_normal((m, rank)) @ LT, absolute)
+        # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
+        return _sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ LT, absolute)
 
     values = _run_blocks(block, R, GAUSS_BLOCK, threads)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=0)
