@@ -11,7 +11,6 @@ from .bounds import (
     AnalyticVectorMoments,
     CouplingBudget,
     MomentInputs,
-    SampleVectorMoments,
     SteinCouplingTerms,
     VcBudget,
     coupling_budget,

@@ -8,29 +8,10 @@ report carries traces back to a formula plus the constants used.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .simulate import RngPolicy
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Where a moment input came from: analytic value or seeded MC estimate."""
-
-    kind: str  # "analytic" or "monte_carlo"
-    seed: int | None = None
-    reps: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("analytic", "monte_carlo"):
-            raise ValueError("provenance kind must be 'analytic' or 'monte_carlo'")
-        if self.kind == "monte_carlo" and (self.seed is None or self.reps is None):
-            raise ValueError("monte_carlo provenance requires seed and reps")
-
-
-ANALYTIC = Provenance("analytic")
 
 
 @dataclass(frozen=True)
@@ -47,7 +28,8 @@ class MomentInputs:
     sigma: float
     b: float  # envelope scale ||F||_{P,2} (and >= sigma)
     q: float
-    M_norms: dict
+    M2: float  # ||M||_2
+    Mq: float  # ||M||_q
     kappa: float
     EG_FF: float
     H_profile: callable
@@ -63,9 +45,8 @@ class MomentInputs:
             raise ValueError("kappa must be positive")
         if self.q < 2:
             raise ValueError("q must be at least 2")
-        if 2 in self.M_norms and self.q in self.M_norms:
-            if self.M_norms[2] > self.M_norms[self.q] + 1e-12:
-                raise ValueError("||M||_2 cannot exceed ||M||_q for q >= 2")
+        if self.M2 > self.Mq + 1e-12:
+            raise ValueError("||M||_2 cannot exceed ||M||_q for q >= 2")
         logn = math.log(self.n)
         probe = np.linspace(0.05, 1.0, 8)
         vals = np.array([self.H_profile(e) for e in probe])
@@ -138,8 +119,6 @@ def coupling_budget(
         raise ValueError("the coupling budget requires q >= 3")
     n, q = inputs.n, inputs.q
     H = float(inputs.H_profile(epsilon))
-    Mq = float(inputs.M_norms.get(q, inputs.M_norms.get("q", 0.0)))
-    M2 = float(inputs.M_norms.get(2, 0.0))
     try:
         root_n = n**-0.5
     except OverflowError:  # an integer n past the largest float
@@ -147,8 +126,8 @@ def coupling_budget(
     terms = {
         "phi": float(inputs.phi_profile(epsilon)),
         "eps_term": gamma ** (-1.0 / q) * epsilon * inputs.b,
-        "Mq_term": root_n * gamma ** (-1.0 / q) * Mq,
-        "M2_term": root_n * gamma ** (-2.0 / q) * M2,
+        "Mq_term": root_n * gamma ** (-1.0 / q) * inputs.Mq,
+        "M2_term": root_n * gamma ** (-2.0 / q) * inputs.M2,
         "FF_term": n**-0.25 * gamma**-0.5 * math.sqrt(inputs.EG_FF) * math.sqrt(H),
         "kappa_term": n ** (-1.0 / 6.0) * gamma ** (-1.0 / 3.0) * inputs.kappa * H ** (2.0 / 3.0),
     }
@@ -229,22 +208,18 @@ def vc_class_budget(
 
 @dataclass(frozen=True)
 class SteinCouplingTerms:
-    """Moment terms B1..B4 and the two coupling probability bounds they imply."""
+    """Moment terms B1, B2, B4 and the applied coupling probability bound they imply."""
 
     B1: float
     B2: float
-    B3: float
     B4: float
-    beta: float
     delta: float
     p: int
     n: int
-    prob_raw_thm: float
     prob_raw_cor: float
-    provenance: Provenance = ANALYTIC
 
     def __post_init__(self):
-        for name in ("B1", "B2", "B3", "B4"):
+        for name in ("B1", "B2", "B4"):
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -261,100 +236,30 @@ class AnalyticVectorMoments:
     B2: float
     b3_tail: callable
 
-    def tail(self, thr: float) -> float:
-        return float(self.b3_tail(thr))
 
-
-@dataclass(frozen=True)
-class SampleVectorMoments:
-    """Monte Carlo moment estimates from a raw-sample generator.
-
-    ``generator(gen, n, p)`` draws an (n, p) matrix of the independent rows.
-    The second-moment matrix E[X_i X_i^T], assumed row-homogeneous, may be
-    supplied analytically; otherwise it is estimated from a pooled pilot draw.
-    """
-
-    generator: callable
-    rng: RngPolicy
-    reps: int = 2000
-    second_moment: np.ndarray | None = None
-
-
-def _mc_vector_terms(moments: SampleVectorMoments, n: int, p: int, thr3: float, thr4: float):
-    gen_pilot = moments.rng.with_salt(moments.rng.salt + 7)
-    if moments.second_moment is None:
-        pilot = moments.generator(gen_pilot.stream_of(0), n, p)
-        second = pilot.T @ pilot / n
-        for r in range(1, 8):
-            batch = moments.generator(gen_pilot.stream_of(r), n, p)
-            second += batch.T @ batch / n
-        second /= 8.0
-    else:
-        second = np.asarray(moments.second_moment, dtype=float)
-    b1 = b2 = b3 = b4 = 0.0
-    for r in range(moments.reps):
-        x = moments.generator(moments.rng.stream_of(r), n, p)
-        v = x.T @ x - n * second
-        b1 += np.abs(v).max()
-        cube = np.abs(x) ** 3
-        b2 += cube.sum(axis=0).max()
-        row_max = np.abs(x).max(axis=1)
-        row_cube_max = cube.max(axis=1)
-        b3 += row_cube_max[row_max > thr3].sum()
-        b4 += row_cube_max[row_max > thr4].sum()
-    reps = moments.reps
-    return b1 / reps, b2 / reps, b3 / reps, b4 / reps
-
-
-def stein_coupling_terms(
-    vectors_moments,
-    delta: float,
-    n: int,
-    p: int,
-    beta: float | None = None,
-    c_const: float = 1.0,
-) -> SteinCouplingTerms:
+def stein_coupling_terms(moments: AnalyticVectorMoments, delta: float, n: int, p: int,
+                         c_const: float = 1.0) -> SteinCouplingTerms:
     """Coupling terms for the maximum of a sum of independent p-vectors.
 
     B1 is the expected max entry deviation of the empirical second-moment
-    matrix, B2 the expected max column sum of |X|^3, and B3/B4 truncated
-    third-moment tails at thresholds beta^{-1}/2 and delta / log(p v n).
-    Returns both the smooth-max coupling bound
-    (eps + C beta delta^{-1} (B1 + beta (B2 + B3))) / (1 - eps) and the
-    applied bound delta^{-2} (B1 + delta^{-1} (B2 + B4) log(p v n)) log(p v n)
-    + log(n)/n, each scaled by the exposed constant.
+    matrix, B2 the expected max column sum of |X|^3, and B4 the truncated
+    third-moment tail at threshold delta / log(p v n).  Returns the applied
+    bound delta^{-2} (B1 + delta^{-1} (B2 + B4) log(p v n)) log(p v n)
+    + log(n)/n, scaled by the exposed constant.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if max(p, n) < 3:
         raise ValueError("max(p, n) must be at least 3")
     L = math.log(max(p, n))
-    if beta is None:
-        beta = 2.0 * L / delta
-    thr3 = 0.5 / beta
-    thr4 = delta / L
-    prov = ANALYTIC
-    if isinstance(vectors_moments, AnalyticVectorMoments):
-        B1 = vectors_moments.B1
-        B2 = vectors_moments.B2
-        B3 = vectors_moments.tail(thr3)
-        B4 = vectors_moments.tail(thr4)
-    elif isinstance(vectors_moments, SampleVectorMoments):
-        B1, B2, B3, B4 = _mc_vector_terms(vectors_moments, n, p, thr3, thr4)
-        prov = Provenance("monte_carlo", seed=vectors_moments.rng.master_seed, reps=vectors_moments.reps)
-    else:
-        raise TypeError("vectors_moments must be AnalyticVectorMoments or SampleVectorMoments")
-    from .smoothmax import epsilon_beta_delta
-
-    eps = epsilon_beta_delta(beta, delta)
-    prob_thm = (eps + c_const * (beta / delta) * (B1 + beta * (B2 + B3))) / (1.0 - eps)
-    prob_cor = c_const * ((B1 + (B2 + B4) * L / delta) * L / delta**2 + math.log(n) / n)
-    return SteinCouplingTerms(
-        B1=B1, B2=B2, B3=B3, B4=B4,
-        beta=beta, delta=delta, p=p, n=n,
-        prob_raw_thm=prob_thm, prob_raw_cor=prob_cor,
-        provenance=prov,
-    )
+    B1, B2 = moments.B1, moments.B2
+    B4 = float(moments.b3_tail(delta / L))
+    try:
+        delta2 = delta**2
+    except OverflowError:
+        raise OverflowError(f"delta^2 overflows a float at delta = {delta!r}") from None
+    prob_cor = c_const * ((B1 + (B2 + B4) * L / delta) * L / delta2 + math.log(n) / n)
+    return SteinCouplingTerms(B1=B1, B2=B2, B4=B4, delta=delta, p=p, n=n, prob_raw_cor=prob_cor)
 
 
 def yurinskii_bound(p: int, delta: float, sum_third_moments: float) -> float:
@@ -364,6 +269,8 @@ def yurinskii_bound(p: int, delta: float, sum_third_moments: float) -> float:
     B0 = p * delta**-3 * sum_third_moments
     if math.isinf(B0):
         raise OverflowError(f"B0 = p delta^-3 sum E|X_i|^3 overflows a float at delta = {delta!r}")
+    if B0 < sys.float_info.min:  # below it 1 / B0 overflows to inf or B0 is 0
+        raise FloatingPointError(f"B0 = p delta^-3 sum E|X_i|^3 underflows the float range at delta = {delta!r}")
     return B0 * (1.0 + abs(math.log(1.0 / B0)) / p)
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +34,6 @@ class RunConfig:
     output_dir: str
     scenario: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-
-    def echo(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "threads": self.threads,
-            "output_dir": self.output_dir,
-            "scenario": self.scenario,
-            "params": self.params,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,18 +56,28 @@ def _line_of(text: str, key: str) -> int | None:
     return text.count("\n", 0, idx) + 1
 
 
-def validate(config_text: str):
-    """Parse and validate a JSON config; returns (RunConfig | None, [ConfigError])."""
+# config key -> the command-line flag that overrides it
+FLAGS = {"seed": "--seed", "threads": "--threads", "output_dir": "--output"}
+
+
+def validate(config_text: str, overrides: dict | None = None):
+    """Parse a JSON config, apply the flag ``overrides`` (config key -> value) and validate the result;
+    returns (RunConfig | None, [ConfigError]).  An overridden value's error is anchored at its flag."""
     errors: list[ConfigError] = []
+    overrides = overrides or {}
     try:
         raw = json.loads(config_text)
     except json.JSONDecodeError as exc:
         return None, [ConfigError(path="<json>", message=str(exc), line=exc.lineno)]
     if not isinstance(raw, dict):
         return None, [ConfigError(path="<root>", message="config must be a JSON object")]
+    raw = {**raw, **overrides}
 
     def err(path, message):
-        errors.append(ConfigError(path=path, message=message, line=_line_of(config_text, path)))
+        if path in overrides:
+            errors.append(ConfigError(path=FLAGS[path], message=message))
+        else:
+            errors.append(ConfigError(path=path, message=message, line=_line_of(config_text, path)))
 
     for path, message in _unknown_keys(raw, _keyword_defaults(RunConfig), "", "a config"):
         err(path, message)
@@ -85,11 +85,14 @@ def validate(config_text: str):
     if sub not in SUBCOMMANDS:
         err("subcommand", f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        err("seed", "seed must be a nonnegative integer")
+    if not (_int_from(0)(seed) and seed < 2**64):
+        err("seed", "seed must be an integer in [0, 2^64)")
     threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
+    if not _int_from(1)(threads):
         err("threads", "threads must be a positive integer")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        err("output_dir", "output_dir must be a string")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         err("params", "params must be an object")
@@ -111,17 +114,8 @@ def validate(config_text: str):
 
     if errors:
         return None, errors
-    return (
-        RunConfig(
-            subcommand=sub,
-            seed=seed,
-            threads=threads,
-            output_dir=raw.get("output_dir", "out"),
-            scenario=scenario,
-            params=params,
-        ),
-        [],
-    )
+    return RunConfig(subcommand=sub, seed=seed, threads=threads, output_dir=output_dir, scenario=scenario,
+                     params=params), []
 
 
 def _is_number(value) -> bool:
@@ -392,7 +386,8 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
         sigma=float(m["sigma"]),
         b=float(m["b"]),
         q=float(m["q"]),
-        M_norms={2: float(m.get("M2", 0.0)), float(m["q"]): float(m.get("Mq", 0.0))},
+        M2=float(m.get("M2", 0.0)),
+        Mq=float(m.get("Mq", 0.0)),
         kappa=float(m.get("kappa", 1.0)),
         EG_FF=float(m.get("EG_FF", 0.0)),
         H_profile=H,
@@ -536,7 +531,11 @@ SUBCOMMANDS = tuple(RUNNERS)
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     started = time.time()
     try:
         lines, ok = RUNNERS[config.subcommand](config, outdir, **config.params)
@@ -547,7 +546,7 @@ def run(config: RunConfig) -> int:
     import scipy
 
     manifest = {
-        "config": config.echo(),
+        "config": asdict(config),
         "seed": config.seed,
         "versions": {
             "supgauss": __version__,
@@ -575,20 +574,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    config, errors = validate(text)
+    flags = {"seed": args.seed, "threads": args.threads, "output_dir": args.output}
+    config, errors = validate(text, {key: value for key, value in flags.items() if value is not None})
     if errors:
         for e in errors:
             print(e.render(), file=sys.stderr)
         return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.output is not None:
-        overrides["output_dir"] = args.output
-    if overrides:
-        config = RunConfig(**{**config.echo(), **overrides})
     return run(config)
 
 

@@ -44,13 +44,17 @@ class RngPolicy:
     master_seed: int
     salt: int = 0
 
+    def __post_init__(self):
+        # a seed or salt outside its key bits would wrap onto another one's streams
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
+        if not 0 <= self.salt < 1 << (64 - _SALT_SHIFT):
+            raise ValueError(f"salt must be in [0, 2^16), got {self.salt}")
+
     def stream_of(self, index: int) -> np.random.Generator:
         if index < 0 or index > _INDEX_MASK:
             raise ValueError("stream index out of range")
-        key = np.array(
-            [self.master_seed & _MASK64, ((self.salt << _SALT_SHIFT) | index) & _MASK64],
-            dtype=np.uint64,
-        )
+        key = np.array([self.master_seed, (self.salt << _SALT_SHIFT) | index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def with_salt(self, salt: int) -> "RngPolicy":
@@ -92,6 +96,8 @@ class SupSample:
             lines = [ln.strip() for ln in fh if ln.strip()]
         meta = dict(zip(lines[0].split(","), lines[1].split(",")))
         values = np.array([float(v) for v in lines[3:]])
+        if values.size != int(meta["R"]):
+            raise ValueError(f"{path} holds {values.size} values but its header says R = {meta['R']}")
         return cls(values, meta["statistic_id"], int(meta["seed"]), int(meta.get("salt", 0)), int(meta["n"]))
 
 

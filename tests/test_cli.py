@@ -404,13 +404,16 @@ class TestClosedFormContract:
              "p^1.5 with p = ceil(exp(n^0.2)) overflows a float at n = 8.98847e+307"),
             ("coupling-crossover", {"b": 1e200}, "b^3 overflows a float at b = 1e+200"),
             ("coupling-crossover", {"b": 1e-200}, "underflows to 0"),
-            ("coupling-crossover", {"delta": 1e300}, "loses its sign in floats"),
+            ("coupling-crossover", {"delta": 1e300}, "delta^2 overflows a float at delta = 1e+300"),
+            ("coupling-crossover", {"delta": 1e154}, "B0 = p delta^-3 sum E|X_i|^3 underflows the float range at "
+                                                     "delta = 1e+154"),
+            ("coupling-crossover", {"delta": 1e104}, "underflows the float range at delta = 1e+104"),
             ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "n^-1/2 overflows a float at n = 10^400"),
             ("coupling-bounds", {"moments": {"sigma": 1e200, "b": 1e200, "q": 4, "A": 3.0, "v": 1.0}},
              "b sigma^2 K_n^2 overflows a float at n = 1000, sigma = 1e+200"),
         ],
-        ids=["exponent_42", "exponent_45", "exponent_1023", "huge_b", "tiny_b", "huge_delta", "huge_n",
-             "vc_huge_sigma"],
+        ids=["exponent_42", "exponent_45", "exponent_1023", "huge_b", "tiny_b", "huge_delta", "large_delta",
+             "subnormal_B0", "huge_n", "vc_huge_sigma"],
     )
     def test_float_range_failure_exits_3(self, tmp_path, capsys, subcommand, params, message):
         assert run_closed_form(tmp_path, subcommand, params) == 3
@@ -489,6 +492,32 @@ class TestMainEntry:
         assert main(["--config", str(path), "--seed", "99", "--output", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)), ("--threads", "0"),
+                                             ("--threads", "-4")])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(output_dir=str(tmp_path / "out"))), encoding="utf-8")
+        assert main(["--config", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()), encoding="utf-8")
+        assert main(["--config", str(path), "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("seed", 2**64), ("seed", 2**64 + 5), ("seed", -1), ("seed", True),
+                                        ("threads", 0), ("output_dir", 5)])
+def test_run_keys_out_of_range_exit_2_with_anchor(key, value):
+    _, errors = validate(json.dumps(minimal_config(**{key: value})))
+    assert [e.path for e in errors] == [key]
 
 
 STARTUP = """

@@ -52,6 +52,22 @@ class TestRngPolicy:
         b = rng.with_salt(1).stream_of(3).standard_normal(5)
         assert not np.allclose(a, b)
 
+    def test_rejects_seed_outside_64_bits(self):
+        # 2^64 + 5 would key the same Philox stream as seed 5
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="master_seed"):
+                RngPolicy(seed)
+        assert RngPolicy(2**64 - 1).stream_of(0).standard_normal(1).shape == (1,)
+
+    def test_rejects_salt_outside_16_bits(self):
+        # the salt fills bits 48-63 of the key, so salt 2^16 + 1 would wrap onto salt 1
+        for salt in (-1, 2**16, 2**16 + 1):
+            with pytest.raises(ValueError, match="salt"):
+                RngPolicy(5, salt)
+        with pytest.raises(ValueError, match="salt"):
+            RngPolicy(5).with_salt(2**16)
+        assert RngPolicy(5, 2**16 - 1).salt == 2**16 - 1
+
     def test_stream_independence_statistics(self):
         rng = RngPolicy(99)
         draws = np.array([rng.stream_of(i).standard_normal(1)[0] for i in range(4000)])
@@ -75,6 +91,14 @@ class TestSupSample:
         assert back.seed == 42
         assert back.salt == 7
         assert back.n == 100
+
+    def test_csv_with_fewer_values_than_R_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        SupSample(np.arange(5.0), "demo", seed=42, n=100).to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")  # header R = 5, three values left
+        with pytest.raises(ValueError, match="R = 5"):
+            SupSample.from_csv(path)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
