@@ -555,3 +555,16 @@ def test_subnormal_sd_exits_3_without_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "zero variance at grid point 0.1: studentization undefined" in summary
+
+
+def test_huge_beta_parameters_exit_3_without_runtime_warning(tmp_path):
+    """Beta parameters near the float max overflow the density; the run reports a non-finite covariance
+    and leaks no numpy warning."""
+    scenario = {"type": "kernel_density", "data_law": "beta", "law_params": {"a": 1e308, "b": 1e308}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "rate", "seed": 6, "scenario": scenario, "params": TINY_PARAMS["rate"]}))
+    proc = run_fresh("-m", "supgauss.cli", "--config", str(path), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "covariance has non-finite entries" in summary

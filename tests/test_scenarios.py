@@ -259,6 +259,37 @@ class TestSeriesDesign:
         assert d.cov.dim == 10
 
 
+def beta22_cdf(t):
+    return t * t * (3.0 - 2.0 * t)
+
+
+class TestBeta22Draw:
+    """Beta(2, 2) is drawn by its exact inverse cdf, one uniform per point; other (a, b) by gen.beta."""
+
+    def test_ks_against_the_cdf_within_dkw_radius(self):
+        n = 100_000
+        x = np.sort(BetaLaw().sample(np.random.default_rng(2022), n))
+        f = beta22_cdf(x)
+        ks = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+        assert ks <= math.sqrt(math.log(2.0 / 1e-4) / (2.0 * n))  # DKW radius at p = 1e-4
+
+    def test_one_uniform_per_point(self):
+        gen, twin = np.random.default_rng(77), np.random.default_rng(77)
+        BetaLaw().sample(gen, 1000)
+        twin.random(1000)
+        assert gen.random() == twin.random()
+
+    def test_round_trip_to_the_uniforms(self):
+        x = BetaLaw().sample(np.random.default_rng(5), 100_000)
+        u = np.random.default_rng(5).random(100_000)
+        np.testing.assert_allclose(beta22_cdf(x), u, rtol=0, atol=1e-15)
+        assert np.all((x > 0.0) & (x < 1.0))
+
+    def test_other_parameters_keep_gen_beta(self):
+        x = BetaLaw(2.0, 3.0).sample(np.random.default_rng(31), 500)
+        assert x.tobytes() == np.random.default_rng(31).beta(2.0, 3.0, 500).tobytes()
+
+
 FACTOR_SCENARIOS = {
     "epanechnikov": kernel_density_scenario,
     "gaussian_kernel": lambda: kernel_density_scenario(kernel="gaussian"),
