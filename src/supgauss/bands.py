@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,8 @@ class BandResult:
     c_alpha: float
     side: str
     alpha: float
-    lower: np.ndarray = None
-    upper: np.ndarray = None
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lower = self.estimate - self.c_alpha * self.sigma_n
@@ -110,6 +110,8 @@ def coverage_experiment(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
+    if side not in ("two_sided", "one_sided_lower"):
+        raise ValueError("side must be 'two_sided' or 'one_sided_lower'")
     d = design(scenario, n)
     if not np.allclose(np.diag(d.cov.sigma), 1.0):
         raise ValueError("coverage experiments require a studentized scenario")

@@ -1,8 +1,8 @@
 """Closed-form coupling and empirical-process bounds with traceable reports.
 
-Every universal constant left free by the underlying inequalities is an
-explicit parameter (default 1.0) echoed in the report, so each number a
-report carries traces back to a formula plus the constants used.
+Each universal constant left free by the underlying inequalities is fixed at
+1 or an explicit parameter (default 1.0) echoed in the report, so each number
+a report carries traces back to a formula plus the constants used.
 """
 
 from __future__ import annotations
@@ -169,11 +169,10 @@ def vc_class_budget(
     A: float,
     v: float,
     c_const: float = 1.0,
-    C_prob: float = 1.0,
 ) -> VcBudget:
-    """Coupling budget b K_n / (g^{1/2} n^{1/2-1/q}) + (b s)^{1/2} K_n^{3/4} /
-    (g^{1/2} n^{1/4}) + (b s^2 K_n^2)^{1/3} / (g^{1/3} n^{1/6}) for VC classes,
-    with K_n = c v (log n v log(A b / sigma)); 1/q reads as 0 at q = inf."""
+    """Coupling budget b K_n / (g^{1/2} n^{1/2-1/q}) + (b s)^{1/2} K_n^{3/4} / (g^{1/2} n^{1/4})
+    + (b s^2 K_n^2)^{1/3} / (g^{1/3} n^{1/6}) for VC classes, with K_n = c v (log n v log(A b / sigma)), 1/q reading
+    as 0 at q = inf, and the probability bound gamma + log(n)/n."""
     if sigma > b:
         raise ValueError("sigma cannot exceed b")
     if sigma <= 0:
@@ -197,12 +196,12 @@ def vc_class_budget(
         "mixed_term": math.sqrt(b * sigma) * K_n**0.75 / (gamma**0.5 * n**0.25),
         "variance_term": variance_scale ** (1.0 / 3.0) / (gamma ** (1.0 / 3.0) * n ** (1.0 / 6.0)),
     }
-    prob_raw = C_prob * (gamma + math.log(n) / n)
+    prob_raw = gamma + math.log(n) / n
     return VcBudget(
         terms=terms,
         K_n=K_n,
         prob_bound_raw=prob_raw,
-        constants_used={"c_const": c_const, "C_prob": C_prob},
+        constants_used={"c_const": c_const},
     )
 
 

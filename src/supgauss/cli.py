@@ -539,8 +539,9 @@ def run(config: RunConfig) -> int:
     started = time.time()
     try:
         lines, ok = RUNNERS[config.subcommand](config, outdir, **config.params)
-    except (CovarianceError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        (outdir / "summary.txt").write_text(f"numerical failure: {exc}\n", encoding="utf-8")
+    except (CovarianceError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        (outdir / "summary.txt").write_text(f"{kind}: {exc}\n", encoding="utf-8")
         return 3
     wall = time.time() - started
     import scipy

@@ -109,12 +109,9 @@ class DiscretizedClass:
             return self.column_sums(batch)
         return self.evaluate(batch).sum(axis=0)
 
-    def atom_measure(self, n_atoms: int, weights=None) -> DiscreteMeasure:
-        """Measure over the first n_atoms row indices of a tabular class."""
-        idx = np.arange(n_atoms)
-        if weights is None:
-            return DiscreteMeasure.uniform(idx)
-        return DiscreteMeasure(idx, weights)
+    def atom_measure(self, n_atoms: int) -> DiscreteMeasure:
+        """Uniform measure over the first n_atoms row indices of a tabular class."""
+        return DiscreteMeasure.uniform(np.arange(n_atoms))
 
 
 def _distance_geometry(cls: DiscretizedClass, measure: DiscreteMeasure):

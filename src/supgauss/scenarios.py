@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,8 +50,7 @@ def gauss_legendre_rule(lo: float, hi: float):
 class Epanechnikov:
     """k(u) = 0.75 (1 - u^2) on [-1, 1]; unit integral, compact support."""
 
-    name: str = "epanechnikov"
-    window: float = 1.0  # support radius
+    window: ClassVar[float] = 1.0  # support radius; design_kernel's panel algebra assumes |u| < 1
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -61,8 +61,7 @@ class Epanechnikov:
 class GaussianKernel:
     """Standard normal density kernel; unbounded support."""
 
-    name: str = "gaussian"
-    window: float = math.inf
+    window: ClassVar[float] = math.inf
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -264,7 +263,7 @@ class KernelScenario:
     x_grid: np.ndarray
     family: object
     normalization: str = "studentized"
-    name: str = "kernel"
+    name: ClassVar[str] = "kernel"
 
     def __post_init__(self):
         if self.normalization not in ("unit", "studentized"):
@@ -518,16 +517,13 @@ class SeriesScenario:
     basis: str
     K_rule: callable
     x_grid: np.ndarray
-    noise_model: str = "mean"  # "mean" (eta ~ N(0,1)) or "quantile" (check transform)
-    tau_grid: tuple = (0.25, 0.5, 0.75)  # quantile levels; the mean model ignores them
-    x_law: object = field(default_factory=Uniform01)
-    name: str = "series"
+    tau_grid: tuple | None = None  # quantile levels of the check-function model; None: the mean model, eta ~ N(0,1)
+    x_law: ClassVar[Uniform01] = Uniform01()
+    name: ClassVar[str] = "series"
 
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis: {self.basis}")
-        if self.noise_model not in ("mean", "quantile"):
-            raise ValueError("noise_model must be 'mean' or 'quantile'")
         if len(self.x_grid) == 0:
             raise ValueError("x_grid must be nonempty")
 
@@ -545,7 +541,6 @@ def series_mean_scenario(
         basis=basis,
         K_rule=lambda n: max(1, math.ceil(k_scale * float(n) ** k_power)),
         x_grid=np.linspace(grid_lo, grid_hi, grid_points),
-        noise_model="mean",
     )
 
 
@@ -560,7 +555,7 @@ def series_quantile_scenario(
 ) -> SeriesScenario:
     """Built-in check-function scenario at the quantile levels tau_grid, K_n as in series_mean_scenario."""
     scn = series_mean_scenario(basis, k_power, k_scale, grid_points, grid_lo, grid_hi)
-    return replace(scn, noise_model="quantile", tau_grid=tuple(tau_grid))
+    return replace(scn, tau_grid=tuple(tau_grid))
 
 
 # config scenario types: each factory's keywords and their defaults are the keys and defaults of its config block
@@ -624,7 +619,7 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     # g(eta) = eta in the mean model, the check-function scores
     # tau - 1(eta <= tau) of each level tau in the quantile model. The noise is
     # independent of X, so its matrix Omega is the Gram matrix (level variances in level_cov)
-    if scn.noise_model == "mean":
+    if scn.tau_grid is None:
         level_scale, level_cov = np.ones(1), np.ones((1, 1))
 
         draw_eta = np.random.Generator.standard_normal
@@ -670,7 +665,7 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     cls = DiscretizedClass(evaluate=evaluate, size=alpha.shape[0], centered=True, column_sums=column_sums)
     return SeriesDesign(
         scenario=scn, n=n, K=K, psi=psi, alpha=alpha, Omega=gram, cov=cov, cls=cls,
-        sampler=sampler, tau_of_col=None if scn.noise_model == "mean" else col,
+        sampler=sampler, tau_of_col=None if scn.tau_grid is None else col,
     )
 
 
@@ -691,14 +686,12 @@ def design(scenario, n: int):
     raise TypeError("scenario must be a KernelScenario or SeriesScenario")
 
 
-def xi_n(scn: SeriesScenario, K: int, grid_points: int = 2001) -> float:
-    """sup_x |psi^K(x)| v 1 over a dense evaluation grid."""
+def xi_n(scn: SeriesScenario, K: int) -> float:
+    """sup_x |psi^K(x)| v 1 over 2001 evenly spaced points of [0, 1]."""
     if K < 1:
         raise ValueError("basis order must be at least 1")
     psi = BASES[scn.basis](K)
-    if grid_points < 1000:
-        raise ValueError("dense grid needs at least 1000 points")
-    x = np.linspace(0.0, 1.0, grid_points)
+    x = np.linspace(0.0, 1.0, 2001)
     norms = np.linalg.norm(psi(x), axis=1)
     return max(float(norms.max()), 1.0)
 

@@ -9,6 +9,7 @@ a given master seed regardless of execution order or worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ EMP_BLOCK = 8
 
 
 class CovarianceError(RuntimeError, ValueError):
-    """Raised when a covariance is non-finite or has a negative eigenvalue beyond rounding, or cannot be studentized."""
+    """Raised when a covariance is non-finite, asymmetric or indefinite beyond rounding, or cannot be studentized."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class CovarianceModel:
         if not np.all(np.isfinite(sigma)):
             raise CovarianceError("covariance has non-finite entries")
         scale = max(np.abs(sigma).max(), 1.0)
-        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-            raise ValueError("covariance is not symmetric")
+        asym = np.abs(sigma - sigma.T).max()
+        if asym > 1e-10 * scale:
+            raise CovarianceError(f"covariance is not symmetric: max|sigma - sigma^T| = {asym:.3g}")
         sigma = 0.5 * (sigma + sigma.T)
         vals, vecs = np.linalg.eigh(sigma)
         if vals[0] < -cls.NEGATIVE_TOL * scale:
@@ -142,7 +144,8 @@ class CovarianceModel:
 
 
 def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
-    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications; threads map over blocks."""
+    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications; threads map over blocks,
+    at most one worker per block and per core."""
     out = np.empty(R)
 
     def run(b: int) -> None:
@@ -151,11 +154,12 @@ def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
         out[s:e] = block_fn(b, e - s)
 
     blocks = range(-(-R // size))
-    if threads <= 1 or len(blocks) <= 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         for b in blocks:
             run(b)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
     return out
 

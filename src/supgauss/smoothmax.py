@@ -10,7 +10,7 @@ function built on the delta-enlargement of A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class IndicatorSmoothing:
     intervals: tuple
     delta: float
     beta: float
-    epsilon: float = 0.0
+    epsilon: float = field(init=False)  # epsilon_beta_delta(beta, delta)
 
     def __post_init__(self):
         merged = tuple(_merge_intervals(self.intervals))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from supgauss import bands
 from supgauss.bands import build_band, coverage_experiment, critical_value
 from supgauss.scenarios import design, kernel_density_scenario, series_mean_scenario
 from supgauss.simulate import (
@@ -170,6 +171,16 @@ class TestCoverage:
             hits += band.contains(d.estimator_mean)
         assert report.empirical == hits / R_outer
         assert 0.0 < report.empirical < 1.0
+
+    def test_bad_side_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the side was checked")
+
+        monkeypatch.setattr(bands, "gaussian_sup_sample", no_sampling)
+        monkeypatch.setattr(bands, "empirical_sup_sample", no_sampling)
+        with pytest.raises(ValueError, match="side must be"):
+            coverage_experiment(kernel_density_scenario(grid_points=8), alpha=0.1, n=300, R_outer=10, R_inner=100,
+                                rng=RngPolicy(33), side="two-sided")
 
     def test_rejects_unstudentized_design(self):
         scn = kernel_density_scenario(grid_points=8, normalization="unit")

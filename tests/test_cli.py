@@ -318,9 +318,15 @@ class TestScenarioContract:
             ("anticoncentration", {"type": "kernel_density", "bandwidth_power": -400}, None, "bandwidth h = inf"),
             ("anticoncentration", {"type": "series_mean", "k_power": 200}, None, "K = inf exceeds 128"),
             ("anticoncentration", {"type": "series_quantile", "k_power": 200}, None, "K = inf exceeds 128"),
+            # a 7.11 PiB data draw: numpy refuses the fill at once, before allocating anything
+            ("bands", {"type": "kernel_density"}, {"n": 10**15, "R_outer": 2, "R_inner": 10}, "out of memory: "),
+            # rounding leaves the studentized covariance asymmetric by 3e-10
+            ("rate", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.01},
+                      "grid_lo": 0, "grid_hi": 1}, {"n_list": [10, 20, 30]}, "covariance is not symmetric"),
         ],
         ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap", "bandwidth_underflow",
-             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow"],
+             "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow", "out_of_memory",
+             "asymmetric_covariance"],
     )
     def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
         assert run_cli(tmp_path, subcommand, scenario, params) == 3

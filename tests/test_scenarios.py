@@ -2,11 +2,16 @@
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from supgauss.bands import BandResult
+from supgauss.bounds import vc_class_budget
+from supgauss.funcclass import DiscretizedClass
+from supgauss.smoothmax import IndicatorSmoothing
 from supgauss.simulate import RngPolicy, empirical_sup_sample, gaussian_sup_sample, ks_distance
 from supgauss.scenarios import (
     BASES,
@@ -206,7 +211,7 @@ class TestSeriesDesign:
     def test_quantile_summands_at_half(self):
         scn = SeriesScenario(
             basis="fourier_trig", K_rule=lambda n: 3,
-            x_grid=np.linspace(0, 1, 8), noise_model="quantile", tau_grid=np.array([0.5]),
+            x_grid=np.linspace(0, 1, 8), tau_grid=np.array([0.5]),
         )
         d = design_series(scn, 100)
         gen = RngPolicy(3).stream_of(0)
@@ -221,7 +226,7 @@ class TestSeriesDesign:
     def test_quantile_summands_centered_and_bounded(self):
         scn = SeriesScenario(
             basis="fourier_trig", K_rule=lambda n: 2,
-            x_grid=np.linspace(0, 1, 6), noise_model="quantile", tau_grid=np.array([0.25, 0.5, 0.75]),
+            x_grid=np.linspace(0, 1, 6), tau_grid=np.array([0.25, 0.5, 0.75]),
         )
         gen = RngPolicy(4).stream_of(0)
         eta = gen.random(200_000)
@@ -240,7 +245,7 @@ class TestSeriesDesign:
 
     def test_quantile_factory_shares_the_mean_order_rule(self):
         q, m = series_quantile_scenario(k_power=0.4, k_scale=1.5), series_mean_scenario(k_power=0.4, k_scale=1.5)
-        assert (q.noise_model, q.tau_grid, len(q.x_grid)) == ("quantile", (0.25, 0.5, 0.75), 16)
+        assert (m.tau_grid, q.tau_grid, len(q.x_grid)) == (None, (0.25, 0.5, 0.75), 16)
         assert [q.K_rule(n) for n in (3, 125, 8000)] == [m.K_rule(n) for n in (3, 125, 8000)]
         assert design_series(series_quantile_scenario(tau_grid=[0.1, 0.9], grid_points=5), 125).cls.size == 10
 
@@ -318,7 +323,7 @@ class TestSeriesFactor:
 def _quantile_scenario():
     return SeriesScenario(
         basis="legendre", K_rule=lambda n: 4,
-        x_grid=np.linspace(0, 1, 6), noise_model="quantile", tau_grid=np.array([0.25, 0.5, 0.75]),
+        x_grid=np.linspace(0, 1, 6), tau_grid=np.array([0.25, 0.5, 0.75]),
     )
 
 
@@ -377,20 +382,24 @@ def _cond_cdf_kernel_scenario():
     ))
 
 
+# quantile levels of each noise model; None is the mean model
+LEVELS = {"mean": None, "quantile": (0.25, 0.5, 0.75)}
 FAST_PATH_SCENARIOS = {
     "kernel_density": lambda: kernel_density_scenario(grid_points=16),
     "kernel_regression": _regression_kernel_scenario,
     "kernel_cond_cdf": _cond_cdf_kernel_scenario,
     **{
         f"{basis}_{noise}": (lambda basis=basis, noise=noise: SeriesScenario(
-            basis=basis, K_rule=lambda n: math.ceil(n ** (1.0 / 3.0)), x_grid=np.linspace(0, 1, 16), noise_model=noise,
+            basis=basis, K_rule=lambda n: math.ceil(n ** (1.0 / 3.0)), x_grid=np.linspace(0, 1, 16),
+            tau_grid=LEVELS[noise],
         ))
         for basis in BASES for noise in ("mean", "quantile")
     },
     # K = ceil(n^{1/2}): 90 basis functions at n = 8000
     **{
         f"fourier_trig_k90_{noise}": (lambda noise=noise: SeriesScenario(
-            basis="fourier_trig", K_rule=lambda n: math.ceil(n**0.5), x_grid=np.linspace(0, 1, 16), noise_model=noise,
+            basis="fourier_trig", K_rule=lambda n: math.ceil(n**0.5), x_grid=np.linspace(0, 1, 16),
+            tau_grid=LEVELS[noise],
         ))
         for noise in ("mean", "quantile")
     },
@@ -465,9 +474,7 @@ class TestPanelLookup:
 class NodeEpanechnikov:
     """The Epanechnikov kernel under a type design_kernel does not know, so it takes the node-quadrature path."""
 
-    name: str = "epanechnikov_by_nodes"
-    window: float = 1.0
-    sup: float = 0.75
+    window: ClassVar[float] = 1.0
 
     def __call__(self, u):
         return Epanechnikov()(u)
@@ -675,3 +682,37 @@ class TestCondCdfFamily:
         np.testing.assert_allclose(np.diag(d.cov.sigma), 1.0, atol=1e-8)
         batch = fam.sample(RngPolicy(10).stream_of(0), 50)
         assert d.cls.evaluate(batch).shape == (50, 8)
+
+
+BAND = dict(x_grid=np.zeros(2), estimate=np.zeros(2), sigma_n=np.ones(2), c_alpha=1.0, side="two_sided", alpha=0.05)
+VC = dict(n=100, gamma=0.1, q=4.0, b=1.0, sigma=0.5, A=math.e, v=1.0)
+SMOOTHING = dict(intervals=((0.0, 1.0),), delta=0.2, beta=10.0)
+KERNEL_SCENARIO = dict(kernel=Epanechnikov(), bandwidth_rule=lambda n: 0.2, x_grid=np.linspace(0.3, 0.7, 4),
+                       family=DensityFamily(BetaLaw()))
+SERIES_SCENARIO = dict(basis="legendre", K_rule=lambda n: 3, x_grid=np.linspace(0, 1, 4))
+
+# each value the code used to accept and then ignore, overwrite or misread, or that no caller set
+REMOVED_VALUES = {
+    "Epanechnikov.name": lambda: Epanechnikov(name="epanechnikov"),
+    "Epanechnikov.window": lambda: Epanechnikov(window=2.0),
+    "GaussianKernel.name": lambda: GaussianKernel(name="gaussian"),
+    "GaussianKernel.window": lambda: GaussianKernel(window=3.0),
+    "BandResult.lower": lambda: BandResult(**BAND, lower=np.zeros(2)),
+    "BandResult.upper": lambda: BandResult(**BAND, upper=np.zeros(2)),
+    "IndicatorSmoothing.epsilon": lambda: IndicatorSmoothing(**SMOOTHING, epsilon=0.5),
+    "SeriesScenario.noise_model": lambda: SeriesScenario(**SERIES_SCENARIO, noise_model="quantile"),
+    "KernelScenario.name": lambda: KernelScenario(**KERNEL_SCENARIO, name="kernel"),
+    "SeriesScenario.name": lambda: SeriesScenario(**SERIES_SCENARIO, name="series"),
+    "SeriesScenario.x_law": lambda: SeriesScenario(**SERIES_SCENARIO, x_law=BetaLaw()),
+    "vc_class_budget.C_prob": lambda: vc_class_budget(**VC, C_prob=2.0),
+    "xi_n.grid_points": lambda: xi_n(series_mean_scenario(), 5, grid_points=4001),
+    "DiscretizedClass.atom_measure.weights": lambda: DiscretizedClass.from_matrix(np.eye(2)).atom_measure(
+        2, weights=[0.25, 0.75]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_VALUES))
+def test_removed_value_is_rejected(name):
+    """A value the code does not compute with cannot be passed."""
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        REMOVED_VALUES[name]()

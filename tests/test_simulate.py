@@ -1,11 +1,13 @@
 """Monte Carlo engine: RNG streams, samplers, distances, couplings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from supgauss import simulate
 from supgauss.bands import coverage_experiment
 from supgauss.funcclass import DiscretizedClass
 from supgauss.scenarios import design, kernel_density_scenario
@@ -120,6 +122,12 @@ class TestCovarianceModel:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceModel.from_matrix(np.array([[1.0, 0.5], [0.3, 1.0]]))
+
+    def test_asymmetry_beyond_rounding_is_a_covariance_error(self):
+        sigma = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+        with pytest.raises(CovarianceError, match=re.escape("not symmetric: max|sigma - sigma^T| = 1e-09")):
+            CovarianceModel.from_matrix(sigma)
+        CovarianceModel.from_matrix(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))  # within rounding: symmetrized
 
     def test_rejects_badly_conditioned(self):
         with pytest.raises(CovarianceError, match="badly conditioned"):
@@ -369,3 +377,36 @@ class TestSupQuantile:
     def test_higher_interpolation_conservative(self):
         s = SupSample(np.array([0.0, 1.0]), "x", seed=0)
         assert sup_quantile(s, 0.4) == 1.0
+
+
+
+@pytest.mark.parametrize(
+    "threads, blocks, cores, workers",
+    [(100_000, 10, 4, 4), (3, 10, 4, 3), (100_000, 2, 4, 2), (100_000, 10, 1, None), (100_000, 10, None, None),
+     (100_000, 1, 4, None), (1, 10, 4, None)],
+    ids=["cores", "threads", "blocks", "one_core", "unknown_cores", "one_block", "one_thread"],
+)
+def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, blocks, cores, workers):
+    made = []
+
+    class SerialPool:
+        """A ThreadPoolExecutor stand-in that records its max_workers and maps serially, starting no thread."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+    cov = correlated_cov()
+    got = gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93), threads=threads).values
+    assert made == ([] if workers is None else [workers])
+    assert got.tobytes() == gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93)).values.tobytes()
