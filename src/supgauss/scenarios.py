@@ -76,7 +76,6 @@ KERNELS = {"epanechnikov": Epanechnikov(), "gaussian": GaussianKernel()}
 
 @dataclass(frozen=True)
 class Uniform01:
-    name: str = field(default="uniform", init=False)
     support: tuple = field(default=(0.0, 1.0), init=False)
 
     def density(self, t):
@@ -91,7 +90,6 @@ class Uniform01:
 class BetaLaw:
     a: float = 2.0
     b: float = 2.0
-    name: str = field(default="beta", init=False)
     support: tuple = field(default=(0.0, 1.0), init=False)
 
     def density(self, t):
@@ -108,8 +106,9 @@ class BetaLaw:
         return out
 
     def sample(self, gen, n):
-        if self.a == self.b == 2:  # exact inverse cdf: Viete's root of 3x^2 - 2x^3 = u, one uniform per point
-            return 0.5 + np.sin(np.arcsin(2.0 * gen.random(n) - 1.0) / 3.0)
+        if self.a == self.b == 2:  # the median of three uniforms: P(median <= x) = 3x^2 - 2x^3, exactly Beta(2, 2)
+            a, b, c = gen.random((3, n))
+            return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
         return gen.beta(self.a, self.b, size=n)
 
 
@@ -119,7 +118,6 @@ class TruncNorm:
     sd: float = 0.25
     lo: float = 0.0
     hi: float = 1.0
-    name: str = field(default="truncnorm", init=False)
 
     @property
     def support(self):
@@ -162,10 +160,7 @@ class DensityFamily:
     """g = 1: the statistic estimates the design density."""
 
     x_law: object
-
-    @property
-    def g_count(self):
-        return 1
+    g_count: ClassVar[int] = 1
 
     def sample(self, gen, n):
         return self.x_law.sample(gen, n)
@@ -188,10 +183,7 @@ class RegressionFamily:
     x_law: object
     mean_fn: callable
     sd_fn: callable
-
-    @property
-    def g_count(self):
-        return 1
+    g_count: ClassVar[int] = 1
 
     def sample(self, gen, n):
         x = self.x_law.sample(gen, n)
@@ -329,15 +321,15 @@ class KernelDesign:
 
 
 def _panel_lookup(breaks: np.ndarray):
-    """panel_of(x) == np.searchsorted(breaks, x) for finite x, from a table of 8 uniform cells per panel.
-
-    x -> cell is monotone in floats, so the breaks in lower cells lie below x (start[cell] is a lower
-    bound) and those in higher cells above it: the most breaks in one cell bound the steps left."""
-    cells = 8 * (breaks.size - 1)
+    """panel_of(x) == clip(searchsorted(breaks, x) - 1, 0, P - 1) for finite x: the count of the P - 1 interior
+    breaks below x, from a table of 8 uniform cells per panel. x -> cell is monotone in floats, so the breaks
+    in lower cells lie below x (start[cell] is a lower bound) and those in higher cells above it: the most
+    breaks in one cell bound the steps left."""
+    cells, padded = 8 * (breaks.size - 1), np.append(breaks[1:-1], np.inf)  # the interior breaks, then inf
     inv = cells / (breaks[-1] - breaks[0])
     cell_of = lambda x: np.clip((x - breaks[0]) * inv, 0, cells - 1).astype(np.intp)
-    start = np.searchsorted(cell_of(breaks), np.arange(cells + 1))
-    steps, padded = int(np.diff(start).max()), np.append(breaks, np.inf)
+    start = np.searchsorted(cell_of(padded[:-1]), np.arange(cells + 1))
+    steps = int(np.diff(start).max())
 
     def panel_of(x):
         k = start[cell_of(np.asarray(x, dtype=float))]
@@ -396,11 +388,18 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         means = wk.T @ gm.reshape(-1, L)
         raw = np.tensordot(wk[:, :, None, None] * gc.reshape(-1, 1, L, L), kv, axes=(0, 0)).transpose(0, 1, 3, 2)
 
-    variances = (np.einsum("jljl->jl", raw) - means**2) / h
+    second = np.einsum("jljl->jl", raw)
+    variances = (second - means**2) / h
     if scn.normalization == "studentized":
         if np.any(variances <= 1e-14):
             bad = xg[np.where(variances.min(axis=1) <= 1e-14)[0][0]]
             raise CovarianceError(f"zero variance at grid point {bad}: studentization undefined")
+        # studentizing scales raw's rounding, about eps * second, by second / (variances h): past
+        # SYMMETRY_TOL / eps that alone would fail the covariance's symmetry check
+        lost = (second / (variances * h)).max(axis=1)
+        if lost.max() * np.finfo(float).eps > CovarianceModel.SYMMETRY_TOL:
+            raise CovarianceError(
+                f"studentization at grid point {xg[lost.argmax()]} loses {math.log10(lost.max()):.1f} of 16 digits")
         c = 1.0 / np.sqrt(variances)
     else:
         c = np.ones((nx, L))
@@ -430,10 +429,11 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
 
         def column_sums(batch):
             g, x = family.g_values(batch)
-            p = np.clip(panel_of(x) - 1, 0, mid.size - 1)  # support ends join the end panels
-            cell = (p[:, None] * L + np.arange(L)).ravel()
+            p = panel_of(x)
+            cell = p if L == 1 else (p[:, None] * L + np.arange(L)).ravel()
             u = ((x - mid[p]) / h)[:, None]
-            M = [np.bincount(cell, (g * u**k).ravel(), mid.size * L).reshape(-1, L) for k in range(3)]
+            gu = g * u
+            M = [np.bincount(cell, gk.ravel(), mid.size * L).reshape(-1, L) for gk in (g, gu, gu * u)]
             out = 0.75 * sum(a @ m for a, m in zip(A, M))
             return (out.reshape(-1) - x.size * flat_m) * scale
 
@@ -603,8 +603,6 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
         K = int(scn.K_rule(n))
     except OverflowError:  # an order past the largest float
         K = math.inf
-    if K < 1:
-        raise ValueError("basis order must be at least 1")
     if K > MAX_BASIS_ORDER:
         raise CovarianceError(f"basis order K = {K} exceeds {MAX_BASIS_ORDER}, more than the quadrature resolves")
     psi = BASES[scn.basis](K)
@@ -688,8 +686,6 @@ def design(scenario, n: int):
 
 def xi_n(scn: SeriesScenario, K: int) -> float:
     """sup_x |psi^K(x)| v 1 over 2001 evenly spaced points of [0, 1]."""
-    if K < 1:
-        raise ValueError("basis order must be at least 1")
     psi = BASES[scn.basis](K)
     x = np.linspace(0.0, 1.0, 2001)
     norms = np.linalg.norm(psi(x), axis=1)

@@ -1,6 +1,6 @@
 """Monte Carlo engine: suprema of empirical processes and their Gaussian analogues.
 
-Replications run in fixed-size blocks, one counter-based RNG stream per block
+Replications run in fixed-size blocks, one keyed RNG stream per block
 (``GAUSS_BLOCK`` Gaussian or ``EMP_BLOCK`` empirical replications, drawn one
 after another from the block's stream), so that results are byte-identical for
 a given master seed regardless of execution order or worker count.
@@ -35,9 +35,9 @@ class CovarianceError(RuntimeError, ValueError):
 
 @dataclass(frozen=True)
 class RngPolicy:
-    """Counter-based stream derivation from a single 64-bit master seed.
+    """Keyed stream derivation from a single 64-bit master seed.
 
-    ``stream_of(b)`` keys a Philox generator on ``(master_seed, salt<<48 | b)``,
+    ``stream_of(b)`` seeds SFC64 by numpy's ``SeedSequence`` hash of ``(master_seed, salt<<48 | b)``,
     so distinct block indices give statistically independent streams and the
     same ``(seed, salt, index)`` always reproduces the identical stream.
     """
@@ -55,8 +55,9 @@ class RngPolicy:
     def stream_of(self, index: int) -> np.random.Generator:
         if index < 0 or index > _INDEX_MASK:
             raise ValueError("stream index out of range")
-        key = np.array([self.master_seed, (self.salt << _SALT_SHIFT) | index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        # fixed-width words: SeedSequence zero-pads short ints, so [2^32 + 1, 0] would hash like [1, 1]
+        words = np.array([self.master_seed, (self.salt << _SALT_SHIFT) | index], "<u8").view("<u4")
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
     def with_salt(self, salt: int) -> "RngPolicy":
         """Derive an independent policy for a separate purpose (same seed)."""
@@ -109,8 +110,9 @@ class CovarianceModel:
     sigma: np.ndarray
     factor: np.ndarray
 
-    # an eigenvalue below -NEGATIVE_TOL * max(1, max|sigma|) is not rounding: sigma is no covariance
-    NEGATIVE_TOL = 1e-6
+    # an eigenvalue below -NEGATIVE_TOL * max(1, max|sigma|) or an asymmetry above SYMMETRY_TOL * max(1, max|sigma|)
+    # is not rounding: sigma is no covariance
+    NEGATIVE_TOL, SYMMETRY_TOL = 1e-6, 1e-10
 
     @classmethod
     def from_matrix(cls, sigma: np.ndarray) -> "CovarianceModel":
@@ -122,7 +124,7 @@ class CovarianceModel:
             raise CovarianceError("covariance has non-finite entries")
         scale = max(np.abs(sigma).max(), 1.0)
         asym = np.abs(sigma - sigma.T).max()
-        if asym > 1e-10 * scale:
+        if asym > cls.SYMMETRY_TOL * scale:
             raise CovarianceError(f"covariance is not symmetric: max|sigma - sigma^T| = {asym:.3g}")
         sigma = 0.5 * (sigma + sigma.T)
         vals, vecs = np.linalg.eigh(sigma)

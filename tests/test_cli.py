@@ -320,13 +320,15 @@ class TestScenarioContract:
             ("anticoncentration", {"type": "series_quantile", "k_power": 200}, None, "K = inf exceeds 128"),
             # a 7.11 PiB data draw: numpy refuses the fill at once, before allocating anything
             ("bands", {"type": "kernel_density"}, {"n": 10**15, "R_outer": 2, "R_inner": 10}, "out of memory: "),
-            # rounding leaves the studentized covariance asymmetric by 3e-10
+            # at n = 10, h = 0.63 against data of sd 0.01: the centered second moment keeps 9.5 of 16 digits,
+            # and studentizing would leave the covariance asymmetric by 3e-10
             ("rate", {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.01},
-                      "grid_lo": 0, "grid_hi": 1}, {"n_list": [10, 20, 30]}, "covariance is not symmetric"),
+                      "grid_lo": 0, "grid_hi": 1}, {"n_list": [10, 20, 30]},
+             "studentization at grid point 0.5079365079365079 loses 6.5 of 16 digits"),
         ],
         ids=["no_data_mass_near_grid", "collapsed_bandwidth", "basis_order_above_cap", "bandwidth_underflow",
              "bandwidth_overflow", "series_mean_order_overflow", "series_quantile_order_overflow", "out_of_memory",
-             "asymmetric_covariance"],
+             "studentization_lost_precision"],
     )
     def test_degenerate_design_exits_3(self, tmp_path, capsys, subcommand, scenario, params, message):
         assert run_cli(tmp_path, subcommand, scenario, params) == 3

@@ -269,7 +269,7 @@ def beta22_cdf(t):
 
 
 class TestBeta22Draw:
-    """Beta(2, 2) is drawn by its exact inverse cdf, one uniform per point; other (a, b) by gen.beta."""
+    """Beta(2, 2) is drawn as the median of three uniforms, exact in law; other (a, b) by gen.beta."""
 
     def test_ks_against_the_cdf_within_dkw_radius(self):
         n = 100_000
@@ -278,17 +278,16 @@ class TestBeta22Draw:
         ks = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
         assert ks <= math.sqrt(math.log(2.0 / 1e-4) / (2.0 * n))  # DKW radius at p = 1e-4
 
-    def test_one_uniform_per_point(self):
+    def test_three_uniforms_per_point(self):
         gen, twin = np.random.default_rng(77), np.random.default_rng(77)
         BetaLaw().sample(gen, 1000)
-        twin.random(1000)
+        twin.random(3000)
         assert gen.random() == twin.random()
 
-    def test_round_trip_to_the_uniforms(self):
-        x = BetaLaw().sample(np.random.default_rng(5), 100_000)
-        u = np.random.default_rng(5).random(100_000)
-        np.testing.assert_allclose(beta22_cdf(x), u, rtol=0, atol=1e-15)
-        assert np.all((x > 0.0) & (x < 1.0))
+    def test_median_of_three_uniform_rows(self):
+        x = BetaLaw().sample(np.random.default_rng(5), 10_000)
+        rows = np.random.default_rng(5).random((3, 10_000))
+        assert x.tobytes() == np.median(rows, axis=0).tobytes()
 
     def test_other_parameters_keep_gen_beta(self):
         x = BetaLaw(2.0, 3.0).sample(np.random.default_rng(31), 500)
@@ -447,13 +446,15 @@ LOOKUP_LAWS = {"uniform": Uniform01(), "beta_0.7_1.5": BetaLaw(0.7, 1.5), "trunc
 
 
 class TestPanelLookup:
-    """The cell-table panel lookup of the kernel column sums is np.searchsorted(breaks, x) exactly."""
+    """The cell-table panel lookup of the kernel column sums is clip(searchsorted(breaks, x) - 1, 0, P - 1) exactly."""
 
     @staticmethod
     def assert_is_searchsorted(breaks, law, gen):
+        lo, hi = law.support
         x = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf), law.support,
-                            law.sample(gen, 4000), gen.uniform(*law.support, 4000)])
-        np.testing.assert_array_equal(_panel_lookup(breaks)(x), np.searchsorted(breaks, x))
+                            [lo - 1.0, hi + 1.0], law.sample(gen, 4000), gen.uniform(lo, hi, 4000)])
+        want = np.clip(np.searchsorted(breaks, x) - 1, 0, breaks.size - 2)
+        np.testing.assert_array_equal(_panel_lookup(breaks)(x), want)
 
     @pytest.mark.parametrize("n", [500, 8000])
     @pytest.mark.parametrize("power", [0.2, 1.0 / 3.0, 0.5])
@@ -468,6 +469,20 @@ class TestPanelLookup:
         cells = 8 * (breaks.size - 1)
         assert np.bincount((breaks * cells).astype(int)).max() >= 2  # x_j - h and x_j + h share a cell
         self.assert_is_searchsorted(breaks, BetaLaw(), np.random.default_rng(3))
+
+    @pytest.mark.parametrize("xg, h, interior", [([0.5], 2.0, 0), ([0.1, 0.9], 2.0, 0), ([0.3], 0.6, 1)])
+    def test_windows_wider_than_the_grid(self, xg, h, interior):
+        """Window edges beyond the support clip to its ends: one panel, or two, and the column sums still agree."""
+        xg = np.array(xg)
+        breaks = _window_breaks(Uniform01(), h, xg)
+        assert breaks.size - 2 == interior
+        self.assert_is_searchsorted(breaks, Uniform01(), np.random.default_rng(4))
+        scn = KernelScenario(kernel=Epanechnikov(), bandwidth_rule=lambda n: h, x_grid=xg,
+                             family=DensityFamily(Uniform01()), normalization="unit")
+        d = design_kernel(scn, 50)
+        x = np.random.default_rng(5).random(50)
+        values = d.cls.evaluate(x)
+        assert np.all(np.abs(d.cls.sum_columns(x) - values.sum(axis=0)) <= FAST_PATH_RTOL * np.abs(values).sum(axis=0))
 
 
 @dataclass(frozen=True)

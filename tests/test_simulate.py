@@ -37,10 +37,19 @@ def centered_uniform_class():
 
 class TestRngPolicy:
     def test_reproducible_streams(self):
-        rng = RngPolicy(1234)
-        a = rng.stream_of(7).standard_normal(5)
-        b = rng.stream_of(7).standard_normal(5)
-        np.testing.assert_array_equal(a, b)
+        for seed, salt, index in ((1234, 0, 7), (0, 0, 0), (2**64 - 1, 2**16 - 1, 2**48 - 1), (2**32 + 1, 3, 2**40)):
+            a = RngPolicy(seed, salt).stream_of(index).standard_normal(64)
+            b = RngPolicy(seed, salt).stream_of(index).standard_normal(64)
+            assert a.tobytes() == b.tobytes()
+
+    def test_distinct_keys_give_distinct_first_draws(self):
+        # the first two pairs would hash to the same words if each key int went in as the fewest
+        # 32-bit words it needs: [2^32 + 1, 0] and [1, 1] both pad to (1, 1, 0, 0)
+        keys = [(2**32 + 1, 0, 0), (1, 0, 1), (7 + 3 * 2**32, 0, 2**16), (7, 1, 3),
+                (1, 0, 0), (2**32, 0, 1), (7, 0, 3), (3, 0, 7),
+                (0, 0, 2**32), (2**32, 0, 0), (0, 1, 0), (0, 0, 2**48 - 1)]
+        first = {RngPolicy(seed, salt).stream_of(index).random() for seed, salt, index in keys}
+        assert len(first) == len(keys)
 
     def test_distinct_indices_differ(self):
         rng = RngPolicy(1234)
@@ -55,7 +64,7 @@ class TestRngPolicy:
         assert not np.allclose(a, b)
 
     def test_rejects_seed_outside_64_bits(self):
-        # 2^64 + 5 would key the same Philox stream as seed 5
+        # 2^64 + 5 would key the same stream as seed 5
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError, match="master_seed"):
                 RngPolicy(seed)
@@ -298,12 +307,14 @@ class TestKsDistance:
         assert est == 1.0
 
     def test_shifted_uniforms(self):
-        rng = RngPolicy(77)
-        a = SupSample(rng.stream_of(0).random(100_000), "a", seed=77)
-        b = SupSample(rng.with_salt(1).stream_of(0).random(100_000) + 0.1, "b", seed=77)
+        # midpoint grids of U[0, 1] and U[0.1, 1.1]: b_k = a_{k + 0.1 R} up to the rounding of the shift,
+        # which can break each tie by one step, so the distance is 0.1 within one step 1/R
+        R = 100_000
+        a = SupSample((np.arange(R) + 0.5) / R, "a", seed=77)
+        b = SupSample((np.arange(R) + 0.5) / R + 0.1, "b", seed=77)
         est, conf = ks_distance(a, b)
-        assert abs(est - 0.1) <= conf
-        assert conf == pytest.approx(math.sqrt(math.log(2 / 0.05) / (2 * 100_000)))
+        assert abs(est - 0.1) <= 1.0 / R + 1e-15
+        assert conf == pytest.approx(math.sqrt(math.log(2 / 0.05) / (2 * R)))
 
 
 class TestQuantileCoupling:
