@@ -526,6 +526,8 @@ RUNNERS = {
     "anticoncentration": _run_anticoncentration,
 }
 SUBCOMMANDS = tuple(RUNNERS)
+OUTPUT_FILES = ("manifest.json", "summary.txt", "smoothmax_check.csv", "coupling_bounds.json", "coupling_bounds.csv",
+                "crossover.csv", "rate.csv", "band.csv", "coverage.json", "anticoncentration.csv")
 
 
 def run(config: RunConfig) -> int:
@@ -533,17 +535,19 @@ def run(config: RunConfig) -> int:
     outdir = Path(config.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        for name in OUTPUT_FILES:  # every file a run writes: none of an earlier run may outlive this one
+            (outdir / name).unlink(missing_ok=True)
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
-    started = time.time()
+    started = time.perf_counter()
     try:
         lines, ok = RUNNERS[config.subcommand](config, outdir, **config.params)
     except (CovarianceError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
         (outdir / "summary.txt").write_text(f"{kind}: {exc}\n", encoding="utf-8")
         return 3
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     import scipy
 
     manifest = {

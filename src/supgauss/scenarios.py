@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -446,6 +446,40 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
 # ---------------------------------------------------------------------------
 # series bases
 
+# e(t) = exp(2 pi i t) at t = k/2^10, k = 0..1024 (x - floor(x) can round up to 1), from quarter-period angles
+_E1 = np.exp(2j * math.pi * (np.arange(1025) % 256) / 1024) * np.array([1, 1j, -1, -1j])[np.arange(1025) // 256 % 4]
+_E2 = np.exp(2j * math.pi * np.arange(1024) / 2**20)  # and at t = k/2^20, k < 2^10
+
+
+def exp_2pi_i(x: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x) by table (Tang 1989), no libm call: e(a/2^10) e(b/2^20) e(theta); NaN where x is not finite."""
+    with np.errstate(invalid="ignore"):  # inf - inf and the casts of NaN: their indices clip, theta stays NaN
+        t = (x - np.floor(x)) * 2.0**20
+        u = np.floor(t)
+        t -= u  # exact: x mod 1 = (u + t)/2^20 with u = 2^10 a + b and t in [0, 1)
+        u = u.astype(np.intp)
+        z = _E1.take(u >> 10, mode="clip") * _E2.take(u & 1023, mode="clip")
+    t *= 2 * math.pi / 2**20  # theta < 6e-6, so the cubic below is exact to 1e-22
+    c = np.empty(z.shape, complex)
+    c.real = 1.0 - 0.5 * t * t
+    c.imag = t - t * t * t / 6.0
+    return np.multiply(z, c, out=z)
+
+
+def fourier_sums(g: np.ndarray, x: np.ndarray, K: int) -> np.ndarray:
+    """g.T @ psi(x) for the Fourier basis without the (K, n) matrix: the sums of g z^f, z = e(x), f <= K/2."""
+    gt, z = g.T, exp_2pi_i(x)
+    zf = np.ones_like(z)
+    zri = zf.view(float).reshape(-1, 2)  # the re, im columns of zf, updated in place with it
+    sums = [gt @ zri]  # (levels, 2): re and im of sum_i g_i z_i^f
+    for _ in range(K // 2):
+        zf *= z
+        sums.append(gt @ zri)
+    S = np.stack(sums, 1)
+    S[:, 1:] *= math.sqrt(2.0)
+    return S.reshape(g.shape[1], -1)[:, [0, *range(2, K + 1)]]  # re 0, then re f, im f: psi rows 0, 2f - 1, 2f
+
+
 def fourier_trig_basis(K: int):
     """1, sqrt2 cos(2 pi x), sqrt2 sin(2 pi x), sqrt2 cos(4 pi x), ... (orthonormal under U[0,1])."""
     if K < 1:
@@ -455,8 +489,8 @@ def fourier_trig_basis(K: int):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((K, x.size))
         out[0] = 1.0
-        # rows 2f - 1, 2f: cos, sin of 2 pi f x from the running power z^f of z = exp(2 pi i x)
-        z = np.exp(2j * math.pi * x)
+        # rows 2f - 1, 2f: cos, sin of 2 pi f x from the running power z^f of z = exp(2 pi i x), as in fourier_sums
+        z = exp_2pi_i(x)
         zf = np.ones_like(z)
         for f in range(1, K // 2 + 1):
             zf *= z
@@ -644,17 +678,18 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
     sigma = (alpha @ gram @ alpha.T) * level_cov[np.ix_(col, col)]
     cov = CovarianceModel.from_matrix(sigma)
 
+    basis_sums = partial(fourier_sums, K=K) if scn.basis == "fourier_trig" else lambda g, x: g.T @ psi(x)
+
     def parts(batch):
         eta, x = batch
-        return scores(np.asarray(eta, dtype=float)), psi(np.asarray(x, dtype=float))
+        return scores(np.asarray(eta, dtype=float)), np.asarray(x, dtype=float)
 
     def evaluate(batch):
-        g, P = parts(batch)
-        return g[:, col] * (P @ alpha.T)
+        g, x = parts(batch)
+        return g[:, col] * (psi(x) @ alpha.T)
 
     def column_sums(batch):
-        g, P = parts(batch)
-        return np.einsum("ck,ck->c", (g.T @ P)[col], alpha)
+        return np.einsum("ck,ck->c", basis_sums(*parts(batch))[col], alpha)  # basis sums: (levels, K)
 
     def sampler(gen, m):
         x = scn.x_law.sample(gen, m)

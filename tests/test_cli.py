@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import supgauss
-from supgauss.cli import main, run, validate
+from supgauss.cli import OUTPUT_FILES, RUNNERS, main, run, validate
 
 
 def minimal_config(**overrides):
@@ -481,6 +481,58 @@ class TestDeterminism:
         assert run(config2) == 0
         assert (tmp_path / "first" / "rate.csv").read_bytes() == (tmp_path / "second" / "rate.csv").read_bytes()
         assert (tmp_path / "first" / "summary.txt").read_bytes() == (tmp_path / "second" / "summary.txt").read_bytes()
+
+
+# one small run of every subcommand, each writing its own files
+SMALL_RUNS = {
+    "smoothmax-check": (None, {"draws": 400, "deriv_draws": 100, "p_max": 50}),
+    "coupling-bounds": (None, {"moments": {"sigma": 0.8, "b": 1.0, "q": 4, "M2": 1.5, "Mq": 2.0, "kappa": 1.0,
+                                           "EG_FF": 1.0}}),
+    "coupling-crossover": (None, {"delta": 50.0, "n_exponents": list(range(8, 17))}),
+    **{sub: ({"type": "kernel_density", "grid_points": 6}, TINY_PARAMS[sub]) for sub in TINY_PARAMS},
+}
+# at n = 10, h = 0.63 against data of sd 0.01: the design fails and the run exits 3 (see test_degenerate_design_exits_3)
+FAILING_RATE = ({"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 0.5, "sd": 0.01},
+                 "grid_lo": 0, "grid_hi": 1}, {"n_list": [10, 20, 30]})
+
+
+class TestOutputDirectory:
+    """A run's output directory holds this run's files only, whatever ran there before."""
+
+    @staticmethod
+    def _run(tmp_path, subcommand, scenario, params) -> int:
+        cfg = {"subcommand": subcommand, "seed": 6, "output_dir": str(tmp_path / "out"), "params": params}
+        config, errors = validate(json.dumps({**cfg, **({"scenario": scenario} if scenario else {})}))
+        assert not errors
+        return run(config)
+
+    @pytest.mark.parametrize("subcommand", sorted(RUNNERS))
+    def test_every_file_a_run_writes_is_an_output_file(self, tmp_path, subcommand):
+        assert self._run(tmp_path, subcommand, *SMALL_RUNS[subcommand]) == 0
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert {"manifest.json", "summary.txt"} < written <= set(OUTPUT_FILES)
+
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path):
+        assert self._run(tmp_path, "rate", *SMALL_RUNS["rate"]) == 0
+        assert self._run(tmp_path, "rate", *FAILING_RATE) == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.txt"]
+        assert "studentization at grid point" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_rerun_of_another_subcommand_replaces_the_earlier_files(self, tmp_path):
+        assert self._run(tmp_path, "bands", *SMALL_RUNS["bands"]) == 0
+        assert self._run(tmp_path, "rate", *SMALL_RUNS["rate"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "rate.csv", "summary.txt"]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["subcommand"] == "rate"
+
+    def test_wall_time_ignores_a_clock_set_back(self, tmp_path, monkeypatch):
+        """wall_time_s comes from the monotonic counter: a wall clock that jumps back an hour does not reach it."""
+        import itertools
+        import time
+
+        clock = itertools.count(10**6, -3600)
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        assert self._run(tmp_path, "smoothmax-check", *SMALL_RUNS["smoothmax-check"]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["wall_time_s"] >= 0.0
 
 
 class TestMainEntry:

@@ -1,6 +1,7 @@
 """Kernel and series scenario builders and rate experiments."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -31,6 +32,7 @@ from supgauss.scenarios import (
     design,
     design_kernel,
     design_series,
+    exp_2pi_i,
     kernel_density_scenario,
     rate_experiment,
     series_mean_scenario,
@@ -553,6 +555,29 @@ class TestBases:
         got = BASES["fourier_trig"](K)(x)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * math.sqrt(2.0)
+
+    # the table exponential at every table point k/1024, the float below 1, -0.0, -1e-20 (whose fractional part
+    # rounds up to 1.0, the table's extra entry) and 1.0, and at random points of [-2, 2]
+    def test_table_exponential_matches_cos_sin(self):
+        special = [1.0 - 2.0**-53, -0.0, -1e-20, 1.0]
+        x = np.concatenate([np.arange(-2048, 2049) / 1024, special, RngPolicy(51).stream_of(0).uniform(-2, 2, 10**5)])
+        z = exp_2pi_i(x)
+        assert np.abs(z.real - np.cos(2.0 * math.pi * x)).max() <= 2e-15
+        assert np.abs(z.imag - np.sin(2.0 * math.pi * x)).max() <= 2e-15
+
+    def test_table_exponential_has_period_one(self):
+        # multiples of 2^-40 in [-2, 2]: x + 1 is exact, so both reduce to the same fractional part
+        x = RngPolicy(52).stream_of(0).integers(-2**41, 2**41, 10**4) * 2.0**-40
+        x = np.concatenate([x, np.arange(-1024, 1025) / 1024, [-0.0, -2.0**-40]])
+        assert np.array_equal(exp_2pi_i(x), exp_2pi_i(x + 1.0))
+
+    def test_nonfinite_points_give_nan_rows(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, rows = exp_2pi_i(x), BASES["fourier_trig"](5)(x)
+        assert np.isnan(z.real).all() and np.isnan(z.imag).all()
+        assert np.all(rows[:, 0] == 1.0) and np.isnan(rows[:, 1:]).all()
 
     @pytest.mark.parametrize("K", [1, 2, 20, 128])
     def test_legendre_matches_eval_legendre(self, K):
