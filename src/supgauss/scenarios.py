@@ -94,14 +94,17 @@ class BetaLaw:
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        from scipy.special import betaln
-
+        if self.a == self.b == 2:  # scipy's betaln(2, 2) to the bit, without the scipy.special import
+            log_beta = -math.log(6.0)
+        else:
+            from scipy.special import betaln
+            log_beta = betaln(self.a, self.b)
         inside = (t > 0) & (t < 1)
         out = np.zeros_like(t)
         tt = np.clip(t, 1e-300, 1 - 1e-16)
         with np.errstate(over="ignore"):  # huge a, b: the exponent runs to inf, which the covariance check reports
             out[inside] = np.exp(
-                (self.a - 1) * np.log(tt[inside]) + (self.b - 1) * np.log1p(-tt[inside]) - betaln(self.a, self.b)
+                (self.a - 1) * np.log(tt[inside]) + (self.b - 1) * np.log1p(-tt[inside]) - log_beta
             )
         return out
 
@@ -686,7 +689,10 @@ def design_series(scn: SeriesScenario, n: int) -> SeriesDesign:
 
     def evaluate(batch):
         g, x = parts(batch)
-        return g[:, col] * (psi(x) @ alpha.T)
+        v = psi(x) @ alpha.T
+        for lev in range(g.shape[1]):  # columns lev, lev + levels, ... hold level lev; in place, no (n, N) temporaries
+            v[:, lev :: g.shape[1]] *= g[:, lev, None]
+        return v
 
     def column_sums(batch):
         return np.einsum("ck,ck->c", basis_sums(*parts(batch))[col], alpha)  # basis sums: (levels, K)

@@ -581,13 +581,19 @@ def test_run_keys_out_of_range_exit_2_with_anchor(key, value):
 
 
 STARTUP = """
-import sys
+import json, sys, tempfile
+from pathlib import Path
 from supgauss import cli, scenarios
 loaded = lambda: [m for m in ("scipy.special", "scipy.interpolate") if m in sys.modules]
 seen = [loaded()]
 for stype in ("series_mean", "kernel_density"):
     scenarios.design(cli.scenario_from_config({"type": stype}), 500)
     seen.append(loaded())
+with tempfile.TemporaryDirectory() as tmp:
+    for sub, params in json.loads(sys.argv[1]).items():
+        cfg = Path(tmp, sub + ".json")
+        cfg.write_text(json.dumps({"subcommand": sub, "seed": 6, "scenario": {"type": "kernel_density"}, "params": params}))
+        seen.append([sub, cli.main(["--config", str(cfg), "--output", str(Path(tmp, sub))]), loaded()])
 print(seen)
 """
 
@@ -600,9 +606,11 @@ def run_fresh(*args, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_startup_imports_no_unused_scipy_submodule():
-    """The CLI and the default designs load scipy.special only for the Beta density, scipy.interpolate never."""
-    out = run_fresh("-c", STARTUP, check=True).stdout
-    assert out.strip() == str([[], [], ["scipy.special"]])
+    """The CLI, the default designs and a default kernel `rate` and `bands` run load neither scipy.special
+    (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate."""
+    params = {sub: TINY_PARAMS[sub] for sub in ("rate", "bands")}
+    out = run_fresh("-c", STARTUP, json.dumps(params), check=True).stdout
+    assert out.strip() == str([[], [], [], ["rate", 0, []], ["bands", 0, []]])
 
 
 def test_subnormal_sd_exits_3_without_runtime_warning(tmp_path):

@@ -8,6 +8,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betaln
 
 from supgauss.bands import BandResult
 from supgauss.bounds import vc_class_budget
@@ -24,6 +25,7 @@ from supgauss.scenarios import (
     GaussianKernel,
     KernelDesign,
     KernelScenario,
+    QUAD_NODES,
     RegressionFamily,
     SeriesScenario,
     TruncNorm,
@@ -190,6 +192,18 @@ class TestSeriesDesign:
         ks, _ = ks_distance(emp, gau)
         assert ks <= 0.02
 
+    @pytest.mark.parametrize("factory", [series_mean_scenario, series_quantile_scenario])
+    def test_evaluate_is_the_score_times_basis_product(self, factory):
+        """evaluate scales psi(x) @ alpha.T in place by level; the bytes are those of g[:, col] * (psi(x) @ alpha.T)."""
+        d = design_series(factory(), 2000)
+        eta, x = d.sampler(RngPolicy(9).stream_of(0), 2000)
+        if d.tau_of_col is None:
+            g = eta[:, None]
+        else:
+            taus = np.asarray(d.scenario.tau_grid, dtype=float)
+            g = (taus[None, :] - (eta[:, None] <= taus[None, :]))[:, d.tau_of_col]
+        assert d.cls.evaluate((eta, x)).tobytes() == (g * (d.psi(x) @ d.alpha.T)).tobytes()
+
     def test_fourier_orthonormal_and_xi(self):
         scn = series_mean_scenario()
         d = design_series(scn, 125)  # K = 5
@@ -294,6 +308,37 @@ class TestBeta22Draw:
     def test_other_parameters_keep_gen_beta(self):
         x = BetaLaw(2.0, 3.0).sample(np.random.default_rng(31), 500)
         assert x.tobytes() == np.random.default_rng(31).beta(2.0, 3.0, 500).tobytes()
+
+
+class TestBetaDensity:
+    """Beta(2, 2)'s log normalizer is the constant -log 6, scipy's betaln(2, 2) to the bit; other (a, b) keep betaln."""
+
+    def test_minus_log_6_is_betaln(self):
+        assert -math.log(6.0) == betaln(2.0, 2.0) == betaln(2, 2)
+
+    @staticmethod
+    def default_kernel_nodes(monkeypatch):
+        """Every node at which the default kernel designs at n = 500, 2000 and 8000 evaluate the density."""
+        seen, density = [], BetaLaw.density
+        monkeypatch.setattr(BetaLaw, "density", lambda law, t: seen.append(np.array(t)) or density(law, t))
+        for n in (500, 2000, 8000):
+            design_kernel(kernel_density_scenario(), n)
+        monkeypatch.undo()
+        t = np.concatenate([nodes.ravel() for nodes in seen])
+        assert t.size >= 3 * QUAD_NODES and np.all((t > 0) & (t < 1))
+        return t
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2.0, 2.0)])
+    def test_default_law_keeps_the_betaln_bits(self, monkeypatch, a, b):
+        t = self.default_kernel_nodes(monkeypatch)
+        expected = np.exp(np.log(t) + np.log1p(-t) - betaln(2, 2))
+        assert BetaLaw(a, b).density(t).tobytes() == expected.tobytes()
+
+    def test_other_parameters_keep_betaln(self, monkeypatch):
+        t = self.default_kernel_nodes(monkeypatch)
+        expected = np.exp(1.5 * np.log(t) + 0.5 * np.log1p(-t) - betaln(2.5, 1.5))
+        assert BetaLaw(2.5, 1.5).density(t).tobytes() == expected.tobytes()
+        assert BetaLaw(2.5, 1.5).density(np.array([-1.0, 0.0, 1.0, 2.0])).tolist() == [0.0] * 4
 
 
 FACTOR_SCENARIOS = {
