@@ -6,19 +6,9 @@ and verifies them by Monte Carlo simulation in kernel (local) and series
 scenarios, including undersmoothed uniform confidence bands.
 """
 
+import importlib
+
 from .bands import BandResult, CoverageReport, build_band, coverage_experiment, critical_value
-from .bounds import (
-    AnalyticVectorMoments,
-    CouplingBudget,
-    MomentInputs,
-    SteinCouplingTerms,
-    VcBudget,
-    coupling_budget,
-    crossover_sweep,
-    stein_coupling_terms,
-    vc_class_budget,
-    yurinskii_bound,
-)
 from .funcclass import (
     DiscreteMeasure,
     DiscretizedClass,
@@ -52,13 +42,26 @@ from .simulate import (
     quantile_coupling,
     sup_quantile,
 )
-from .smoothmax import (
-    IndicatorSmoothing,
-    SmoothMaxDerivs,
-    epsilon_beta_delta,
-    smooth_max,
-    smooth_max_derivs,
-    smoothed_indicator,
-)
+
+# The closed-form modules load on first access (PEP 562): no rate or bands run uses them.
+_LAZY = {
+    "bounds": ("AnalyticVectorMoments", "CouplingBudget", "MomentInputs", "SteinCouplingTerms", "VcBudget",
+               "coupling_budget", "crossover_sweep", "stein_coupling_terms", "vc_class_budget", "yurinskii_bound"),
+    "smoothmax": ("IndicatorSmoothing", "SmoothMaxDerivs", "epsilon_beta_delta", "smooth_max", "smooth_max_derivs",
+                  "smoothed_indicator"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f"{__name__}.{module}")
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *(name for names in _LAZY.values() for name in names)})
+
 
 __version__ = "0.1.0"

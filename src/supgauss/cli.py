@@ -20,11 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import bounds as bounds_mod
 from . import scenarios as scn_mod
 from .bands import coverage_experiment
 from .simulate import CovarianceError, RngPolicy, gaussian_sup_sample, levy_concentration
-from .smoothmax import epsilon_beta_delta, smooth_max, smooth_max_derivs
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -302,6 +300,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 def _run_smoothmax_check(cfg: RunConfig, outdir: Path, /, draws=20_000, deriv_draws=5_000,
                          p_max=1000) -> tuple[list[str], bool]:
+    from .smoothmax import epsilon_beta_delta, smooth_max, smooth_max_derivs
+
     rng = RngPolicy(cfg.seed)
     gen = rng.stream_of(0)
     sandwich_viol = 0
@@ -365,7 +365,9 @@ def _run_smoothmax_check(cfg: RunConfig, outdir: Path, /, draws=20_000, deriv_dr
     return lines, ok
 
 
-def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
+def _moment_inputs_from_config(m: dict, n: int):
+    from .bounds import MomentInputs
+
     hspec = m.get("H", {"type": "constant", "value": math.log(n)})
     if hspec["type"] == "constant":
         hval = max(float(hspec["value"]), math.log(n))
@@ -381,7 +383,7 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
     else:  # "bounded": F / kappa, constant envelope case
         ratio = float(tspec["ratio"])
         tail = lambda u: ratio**3 if ratio > u else 0.0
-    return bounds_mod.MomentInputs(
+    return MomentInputs(
         n=n,
         sigma=float(m["sigma"]),
         b=float(m["b"]),
@@ -398,14 +400,16 @@ def _moment_inputs_from_config(m: dict, n: int) -> bounds_mod.MomentInputs:
 
 def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsilon=0.05, gamma=0.1, K_q=1.0,
                          c_const=1.0, C_log=1.0) -> tuple[list[str], bool]:
+    from .bounds import coupling_budget, vc_class_budget
+
     # float() so that a JSON int such as K_q 1 reaches the report as 1.0, as the defaults do
     gamma, c_const = float(gamma), float(c_const)
-    budget = bounds_mod.coupling_budget(_moment_inputs_from_config(moments, n), epsilon=float(epsilon), gamma=gamma,
-                                        K_q=float(K_q), c_const=c_const, C_log=float(C_log))
+    budget = coupling_budget(_moment_inputs_from_config(moments, n), epsilon=float(epsilon), gamma=gamma,
+                             K_q=float(K_q), c_const=c_const, C_log=float(C_log))
     report = {"inputs": dict(moments), "n": n, "budget": budget.as_dict()}
     if "A" in moments and "v" in moments:
-        vc = bounds_mod.vc_class_budget(n=n, gamma=gamma, c_const=c_const,
-                                        **{key: float(moments[key]) for key in ("q", "b", "sigma", "A", "v")})
+        vc = vc_class_budget(n=n, gamma=gamma, c_const=c_const,
+                             **{key: float(moments[key]) for key in ("q", "b", "sigma", "A", "v")})
         report["vc_budget"] = {
             "terms": vc.terms,
             "total": vc.total,
@@ -429,7 +433,9 @@ def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsil
 
 def _run_crossover(cfg: RunConfig, outdir: Path, /, n_exponents=tuple(range(8, 17)), delta=50.0,
                    b=1.0) -> tuple[list[str], bool]:
-    rows, crossover_n = bounds_mod.crossover_sweep([2**e for e in n_exponents], delta=float(delta), b=float(b))
+    from .bounds import crossover_sweep
+
+    rows, crossover_n = crossover_sweep([2**e for e in n_exponents], delta=float(delta), b=float(b))
     write_csv(
         outdir / "crossover.csv",
         ["n", "p", "maxima_coupling_bound", "whole_vector_bound"],

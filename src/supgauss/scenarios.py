@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +34,11 @@ MAX_BASIS_ORDER = QUAD_NODES // 2
 
 @lru_cache(maxsize=1)
 def _leggauss():
-    return np.polynomial.legendre.leggauss(QUAD_NODES)
+    """``np.polynomial.legendre.leggauss(QUAD_NODES)`` as numpy 2.4.6 computes it, stored bit for bit: loading
+    it skips the import of numpy.polynomial and the eigensolve, and no design depends on the installed LAPACK."""
+    rule = np.load(Path(__file__).with_name(f"leggauss{QUAD_NODES}.npy"))
+    rule.flags.writeable = False  # every caller shares the cached array
+    return rule
 
 
 def gauss_legendre_rule(lo: float, hi: float):
@@ -343,6 +348,12 @@ def _panel_lookup(breaks: np.ndarray):
     return panel_of
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by its own sort and adjacent-difference mask, without its import of numpy.ma."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
 def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     """Discretize the localized family on the grid; covariance by quadrature."""
     if n < 3:
@@ -365,7 +376,7 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments E[g_l g_m k_j k_k]
     # by the 256-node rule on every panel between the window edges, where every kernel is smooth
     edges = np.concatenate([[lo_s, hi_s], xg - kern.window * h, xg + kern.window * h])
-    breaks = np.unique(np.clip(edges, lo_s, hi_s))
+    breaks = _sorted_distinct(np.clip(edges, lo_s, hi_s))
     mid = 0.5 * (breaks[:-1] + breaks[1:])
     t, w = gauss_legendre_rule(breaks[:-1, None], breaks[1:, None])  # (panels, nodes)
     wd = w * law.density(t)

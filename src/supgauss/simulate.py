@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,14 @@ class CovarianceModel:
         """Covariance of the process scaled by c (factor scales exactly by |c|)."""
         a = abs(float(c))
         return CovarianceModel(self.sigma * a * a, self.factor * a)
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """concurrent.futures.ThreadPoolExecutor, imported on the first pool: that import loads logging, and a run
+    at one thread never starts a pool."""
+    from concurrent.futures import ThreadPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:

@@ -584,10 +584,13 @@ STARTUP = """
 import json, sys, tempfile
 from pathlib import Path
 from supgauss import cli, scenarios
-loaded = lambda: [m for m in ("scipy.special", "scipy.interpolate") if m in sys.modules]
+UNUSED = ("scipy.special", "scipy.interpolate", "numpy.ma", "numpy.polynomial", "supgauss.bounds", "supgauss.smoothmax",
+          "concurrent.futures")
+loaded = lambda: [m for m in UNUSED if m in sys.modules]
 seen = [loaded()]
 for stype in ("series_mean", "kernel_density"):
-    scenarios.design(cli.scenario_from_config({"type": stype}), 500)
+    for n in (500, 2000, 8000):
+        scenarios.design(cli.scenario_from_config({"type": stype}), n)
     seen.append(loaded())
 with tempfile.TemporaryDirectory() as tmp:
     for sub, params in json.loads(sys.argv[1]).items():
@@ -606,8 +609,10 @@ def run_fresh(*args, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_startup_imports_no_unused_scipy_submodule():
-    """The CLI, the default designs and a default kernel `rate` and `bands` run load neither scipy.special
-    (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate."""
+    """The CLI, the default designs and a default kernel `rate` and `bands` run load nothing they do not use:
+    neither scipy.special (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate, neither
+    numpy.ma (the window edges are deduplicated without np.unique) nor numpy.polynomial (the quadrature rule is
+    stored), not the closed-form modules, and no thread pool at one thread."""
     params = {sub: TINY_PARAMS[sub] for sub in ("rate", "bands")}
     out = run_fresh("-c", STARTUP, json.dumps(params), check=True).stdout
     assert out.strip() == str([[], [], [], ["rate", 0, []], ["bands", 0, []]])

@@ -30,7 +30,9 @@ from supgauss.scenarios import (
     SeriesScenario,
     TruncNorm,
     Uniform01,
+    _leggauss,
     _panel_lookup,
+    _sorted_distinct,
     design,
     design_kernel,
     design_series,
@@ -43,6 +45,14 @@ from supgauss.scenarios import (
 )
 
 EPA_L2 = 0.6  # int k^2 for the parabolic kernel 0.75 (1 - u^2)
+
+
+def test_stored_quadrature_rule_is_leggauss():
+    """The stored rule equals numpy's leggauss rule (bit for bit on numpy 2.4.6; within 1e-15 on other builds)."""
+    x, w = _leggauss()
+    want_x, want_w = np.polynomial.legendre.leggauss(QUAD_NODES)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-15)
 
 
 class TestKernels:
@@ -428,12 +438,22 @@ def _cond_cdf_kernel_scenario():
     ))
 
 
+# grid spacing 2h, all dyadic: x_j + h == x_{j+1} - h exactly, so the design must merge duplicate window edges
+TOUCHING_H, TOUCHING_GRID = 0.0625, np.arange(1, 8) / 8
+
+
+def _touching_windows_scenario():
+    return KernelScenario(kernel=Epanechnikov(), bandwidth_rule=lambda n: TOUCHING_H, x_grid=TOUCHING_GRID,
+                          family=DensityFamily(BetaLaw()))
+
+
 # quantile levels of each noise model; None is the mean model
 LEVELS = {"mean": None, "quantile": (0.25, 0.5, 0.75)}
 FAST_PATH_SCENARIOS = {
     "kernel_density": lambda: kernel_density_scenario(grid_points=16),
     "kernel_regression": _regression_kernel_scenario,
     "kernel_cond_cdf": _cond_cdf_kernel_scenario,
+    "kernel_touching_windows": _touching_windows_scenario,
     **{
         f"{basis}_{noise}": (lambda basis=basis, noise=noise: SeriesScenario(
             basis=basis, K_rule=lambda n: math.ceil(n ** (1.0 / 3.0)), x_grid=np.linspace(0, 1, 16),
@@ -516,6 +536,22 @@ class TestPanelLookup:
         cells = 8 * (breaks.size - 1)
         assert np.bincount((breaks * cells).astype(int)).max() >= 2  # x_j - h and x_j + h share a cell
         self.assert_is_searchsorted(breaks, BetaLaw(), np.random.default_rng(3))
+
+    def test_touching_windows_share_their_edges(self):
+        """The fast-path case "kernel_touching_windows" has coinciding window edges: 14 edges, 8 distinct breaks."""
+        edges = np.concatenate([TOUCHING_GRID - TOUCHING_H, TOUCHING_GRID + TOUCHING_H])
+        breaks = _window_breaks(BetaLaw(), TOUCHING_H, TOUCHING_GRID)
+        assert np.unique(edges).size == 8 and breaks.size == 10
+        self.assert_is_searchsorted(breaks, BetaLaw(), np.random.default_rng(6))
+
+    @pytest.mark.parametrize("case", ["touching", "repeats", "signed_zeros", "one"])
+    def test_sorted_distinct_is_unique(self, case):
+        a = {"touching": np.concatenate([[0.0, 1.0], TOUCHING_GRID - TOUCHING_H, TOUCHING_GRID + TOUCHING_H]),
+             "repeats": np.random.default_rng(7).integers(0, 20, 500) / 7.0,
+             "signed_zeros": np.array([0.5, 0.0, -0.0, 0.0, -1.0, -0.0, 0.5]),
+             "one": np.array([0.25])}[case]
+        got = _sorted_distinct(a)
+        assert got.tobytes() == np.unique(a).tobytes()
 
     @pytest.mark.parametrize("xg, h, interior", [([0.5], 2.0, 0), ([0.1, 0.9], 2.0, 0), ([0.3], 0.6, 1)])
     def test_windows_wider_than_the_grid(self, xg, h, interior):
