@@ -35,6 +35,7 @@ from .simulate import (
     CovarianceModel,
     RngPolicy,
     SupSample,
+    WorkerError,
     empirical_sup_sample,
     gaussian_sup_sample,
     ks_distance,

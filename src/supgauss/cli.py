@@ -3,7 +3,7 @@
 A run is described by one JSON config file.  Outputs are a manifest (config
 echo, seed, versions, wall time), one CSV per result table, and a
 human-readable summary.  CSV and summary bytes depend only on (config, seed),
-never on the worker-thread cap.
+never on the worker cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import scenarios as scn_mod
 from .bands import coverage_experiment
-from .simulate import CovarianceError, RngPolicy, gaussian_sup_sample, levy_concentration
+from .simulate import CovarianceError, RngPolicy, WorkerError, gaussian_sup_sample, levy_concentration
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -549,9 +549,10 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
     try:
         lines, ok = RUNNERS[config.subcommand](config, outdir, **config.params)
-    except (CovarianceError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
+    except (CovarianceError, np.linalg.LinAlgError, ArithmeticError, MemoryError, WorkerError) as exc:
         kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
-        (outdir / "summary.txt").write_text(f"{kind}: {exc}\n", encoding="utf-8")
+        text = str(exc) if isinstance(exc, WorkerError) else f"{kind}: {exc}"  # a worker's message names its fate
+        (outdir / "summary.txt").write_text(text + "\n", encoding="utf-8")
         return 3
     wall = time.perf_counter() - started
     import scipy
@@ -577,7 +578,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="supgauss", description="Run a configured experiment")
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
+    parser.add_argument("--threads", type=int, default=None, help="worker process cap")
     parser.add_argument("--output", default=None, help="output directory override")
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,14 @@ _MASK64 = (1 << 64) - 1
 _SALT_SHIFT = 48
 _INDEX_MASK = (1 << _SALT_SHIFT) - 1
 # Replications per block, hence per stream. Fixed, never derived from the
-# thread cap: the block shape decides the float results (a GEMM and a matvec
+# worker cap: the block shape decides the float results (a GEMM and a matvec
 # differ in the last bits), so it must not change with the worker count.
 GAUSS_BLOCK = 1024
 EMP_BLOCK = 8
+# Work below which a sample call runs in-process whatever the worker cap, since a fork costs about 5 ms:
+# R * n for an empirical sample, R * dim**2 for a Gaussian one (break-evens measured in README.md).
+EMP_FORK_WORK = 400_000
+GAUSS_FORK_WORK = 100_000_000
 
 
 class CovarianceError(RuntimeError, ValueError):
@@ -144,33 +149,107 @@ class CovarianceModel:
         return CovarianceModel(self.sigma * a * a, self.factor * a)
 
 
-def ThreadPoolExecutor(max_workers: int):
-    """concurrent.futures.ThreadPoolExecutor, imported on the first pool: that import loads logging, and a run
-    at one thread never starts a pool."""
-    from concurrent.futures import ThreadPoolExecutor as Pool
-
-    return Pool(max_workers=max_workers)
+class WorkerError(RuntimeError):
+    """A worker process ended by a signal, exited without a Python exception, or sent short data."""
 
 
 def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
-    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications; threads map over blocks,
-    at most one worker per block and per core."""
+    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications.
+
+    At ``threads > 1`` the blocks split into contiguous ranges, at most one per block and per core. The caller's
+    process runs the first range and forks a worker process for each other one, which sends its values back
+    as raw float64 bytes through a pipe. Every worker is reaped, or killed and reaped, before this returns.
+    """
     out = np.empty(R)
+    blocks = -(-R // size)
+    workers = max(1, min(threads if hasattr(os, "fork") else 1, blocks, os.cpu_count() or 1))
 
-    def run(b: int) -> None:
-        s = b * size
-        e = min(s + size, R)
-        out[s:e] = block_fn(b, e - s)
+    def fill(s: int, e: int) -> np.ndarray:
+        for b in range(s // size, -(-e // size)):
+            out[b * size:(b + 1) * size] = block_fn(b, min(size, R - b * size))
+        return out[s:e]
 
-    blocks = range(-(-R // size))
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        for b in blocks:
-            run(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
+    cuts = [min(k * blocks // workers * size, R) for k in range(workers + 1)]
+    children = {}  # pid -> read end of its pipe, None once a read has taken it
+    try:
+        spans = {_fork(children, fill, s, e): (s, e) for s, e in zip(cuts[1:], cuts[2:])}
+        fill(0, cuts[1])
+        for pid, (s, e) in spans.items():
+            out[s:e] = np.frombuffer(_collect(children, pid, 8 * (e - s)))
+    finally:  # after an error: kill and reap the workers left, closing the pipes no read has taken
+        for pid, fd in children.items():
+            if fd is not None:
+                os.close(fd)
+            os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            os.waitpid(pid, 0)
     return out
+
+
+def _fork(children: dict, fill, s: int, e: int) -> int:
+    """Fork a worker that writes fill(s, e) as raw bytes, or its exception pickled, and leaves by os._exit."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # never unwinds into the caller's stack nor flushes its stdio
+        code = 1
+        try:
+            os.close(r)
+            _leave_parent_cpu()
+            try:
+                payload, code = fill(s, e).tobytes(), 0
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps(exc)
+                except Exception:
+                    payload = pickle.dumps(WorkerError(f"{type(exc).__name__}: {exc}"))
+            with open(w, "wb") as fh:
+                fh.write(payload)
+        finally:
+            os._exit(code)
+    os.close(w)
+    children[pid] = r
+    return pid
+
+
+def _leave_parent_cpu() -> None:
+    """Move a fresh worker off the CPU it was forked on, which its parent keeps busy, then lift the pin again.
+
+    Linux starts a child on its parent's CPU, and on a 2-vCPU VM the two often shared that CPU for 0.1-0.3 s
+    while the other one idled, longer than most sample calls. Where /proc or the affinity calls are missing,
+    the scheduler places the worker."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39: the CPU this process runs on
+        allowed = os.sched_getaffinity(0)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass
+
+
+def _collect(children: dict, pid: int, nbytes: int) -> bytes:
+    """Read a worker's bytes to the end of its pipe and reap it; re-raise its exception, or raise WorkerError."""
+    with open(children[pid], "rb") as fh:
+        children[pid] = None
+        data = fh.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[pid]
+    if os.WIFSIGNALED(status):
+        raise WorkerError(f"worker process ended by signal {os.WTERMSIG(status)}")
+    if os.WEXITSTATUS(status) != 0:
+        try:
+            exc = pickle.loads(data)
+        except Exception:
+            exc = WorkerError(f"worker process exited with status {os.WEXITSTATUS(status)}")
+        raise exc
+    if len(data) != nbytes:
+        raise WorkerError(f"worker process sent {len(data)} of {nbytes} bytes")
+    return data
 
 
 def _sup(z: np.ndarray, absolute: bool) -> np.ndarray:
@@ -205,7 +284,7 @@ def empirical_sup_sample(
         gen = rng.stream_of(b)
         return [_sup(cls.sum_columns(sampler(gen, n)) / root_n, absolute) for _ in range(m)]
 
-    values = _run_blocks(block, R, EMP_BLOCK, threads)
+    values = _run_blocks(block, R, EMP_BLOCK, threads if R * n >= EMP_FORK_WORK else 1)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=n)
 
 
@@ -228,7 +307,7 @@ def gaussian_sup_sample(
         # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
         return _sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ LT, absolute)
 
-    values = _run_blocks(block, R, GAUSS_BLOCK, threads)
+    values = _run_blocks(block, R, GAUSS_BLOCK, threads if R * cov.dim**2 >= GAUSS_FORK_WORK else 1)
     return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=0)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import supgauss
+from supgauss import simulate
 from supgauss.cli import OUTPUT_FILES, RUNNERS, main, run, validate
+from supgauss.simulate import CovarianceError
 
 
 def minimal_config(**overrides):
@@ -581,11 +584,11 @@ def test_run_keys_out_of_range_exit_2_with_anchor(key, value):
 
 
 STARTUP = """
-import json, sys, tempfile
+import json, os, sys, tempfile
 from pathlib import Path
 from supgauss import cli, scenarios
 UNUSED = ("scipy.special", "scipy.interpolate", "numpy.ma", "numpy.polynomial", "supgauss.bounds", "supgauss.smoothmax",
-          "concurrent.futures")
+          "concurrent.futures", "multiprocessing")
 loaded = lambda: [m for m in UNUSED if m in sys.modules]
 seen = [loaded()]
 for stype in ("series_mean", "kernel_density"):
@@ -597,6 +600,13 @@ with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp, sub + ".json")
         cfg.write_text(json.dumps({"subcommand": sub, "seed": 6, "scenario": {"type": "kernel_density"}, "params": params}))
         seen.append([sub, cli.main(["--config", str(cfg), "--output", str(Path(tmp, sub))]), loaded()])
+from supgauss import simulate
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+os.cpu_count = lambda: 2
+d = scenarios.design(cli.scenario_from_config({"type": "series_mean"}), 500)
+simulate.empirical_sup_sample(d.cls, d.sampler, 500, simulate.EMP_FORK_WORK // 500, simulate.RngPolicy(6), threads=2)
+seen.append(["forked", len(forks), loaded()])
 print(seen)
 """
 
@@ -612,10 +622,56 @@ def test_startup_imports_no_unused_scipy_submodule():
     """The CLI, the default designs and a default kernel `rate` and `bands` run load nothing they do not use:
     neither scipy.special (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate, neither
     numpy.ma (the window edges are deduplicated without np.unique) nor numpy.polynomial (the quadrature rule is
-    stored), not the closed-form modules, and no thread pool at one thread."""
+    stored), not the closed-form modules, and neither a thread pool nor multiprocessing, even when a sample forks."""
     params = {sub: TINY_PARAMS[sub] for sub in ("rate", "bands")}
     out = run_fresh("-c", STARTUP, json.dumps(params), check=True).stdout
-    assert out.strip() == str([[], [], [], ["rate", 0, []], ["bands", 0, []]])
+    assert out.strip() == str([[], [], [], ["rate", 0, []], ["bands", 0, []], ["forked", 1, []]])
+
+
+class TestWorkerFailureExits3:
+    """A worker process that raises or dies maps to exit 3 with a message in summary.txt, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def forking(self, monkeypatch):
+        monkeypatch.setattr(simulate, "EMP_FORK_WORK", 0)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def run_rate(monkeypatch, tmp_path, action) -> int:
+        """A kernel `rate` run at two threads whose forked workers call action() before each block."""
+        parent, run_blocks = os.getpid(), simulate._run_blocks
+
+        def in_workers(block_fn, R, size, threads):
+            def block(b, m):
+                if os.getpid() != parent:
+                    action()
+                return block_fn(b, m)
+
+            return run_blocks(block, R, size, threads)
+
+        monkeypatch.setattr(simulate, "_run_blocks", in_workers)
+        path = tmp_path / "cfg.json"
+        cfg = {"subcommand": "rate", "seed": 6, "scenario": {"type": "kernel_density"}, "params": TINY_PARAMS["rate"]}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return main(["--config", str(path), "--output", str(tmp_path / "out"), "--threads", "2"])
+
+    def test_worker_ended_by_a_signal(self, monkeypatch, tmp_path, capsys):
+        assert self.run_rate(monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert summary == f"worker process ended by signal {int(signal.SIGKILL)}\n"
+
+    @pytest.mark.parametrize("exc, summary", [
+        (CovarianceError("covariance is not symmetric"), "numerical failure: covariance is not symmetric\n"),
+        (MemoryError("Unable to allocate 7.11 PiB"), "out of memory: Unable to allocate 7.11 PiB\n"),
+    ], ids=["covariance_error", "memory_error"])
+    def test_worker_exception_keeps_its_exit_code(self, monkeypatch, tmp_path, capsys, exc, summary):
+        def fail():
+            raise exc
+
+        assert self.run_rate(monkeypatch, tmp_path, fail) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out" / "summary.txt").read_text() == summary
 
 
 def test_subnormal_sd_exits_3_without_runtime_warning(tmp_path):

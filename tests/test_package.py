@@ -20,7 +20,7 @@ EXPORTS = {
     scenarios: ("KernelScenario", "SeriesScenario", "design", "design_kernel", "design_series",
                 "kernel_density_scenario", "rate_experiment", "series_mean_scenario", "series_quantile_scenario",
                 "xi_n"),
-    simulate: ("CovarianceError", "CovarianceModel", "RngPolicy", "SupSample", "empirical_sup_sample",
+    simulate: ("CovarianceError", "CovarianceModel", "RngPolicy", "SupSample", "WorkerError", "empirical_sup_sample",
                "gaussian_sup_sample", "ks_distance", "levy_concentration", "quantile_coupling", "sup_quantile"),
     smoothmax: ("IndicatorSmoothing", "SmoothMaxDerivs", "epsilon_beta_delta", "smooth_max", "smooth_max_derivs",
                 "smoothed_indicator"),

@@ -1,7 +1,14 @@
 """Monte Carlo engine: RNG streams, samplers, distances, couplings."""
 
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +199,7 @@ class TestEmpiricalSup:
         with pytest.raises(ValueError, match="at least 3"):
             empirical_sup_sample(cls, lambda g, n: g.random(n), n=2, R=5, rng=RngPolicy(1))
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, forking):
         cls = centered_uniform_class()
         runs = [
             empirical_sup_sample(cls, lambda g, n: g.random(n), n=200, R=300, rng=RngPolicy(7), threads=t)
@@ -246,13 +253,13 @@ class TestBlockLayout:
     """Replications run in fixed blocks; block b draws its replications in turn from stream_of(b)."""
 
     @pytest.mark.parametrize("absolute", [False, True])
-    def test_gaussian_bytes_across_thread_caps(self, absolute):
+    def test_gaussian_bytes_across_thread_caps(self, forking, absolute):
         cov = correlated_cov()
         R = 2 * GAUSS_BLOCK + 37
         runs = [gaussian_sup_sample(cov, R, RngPolicy(91), absolute=absolute, threads=t).values for t in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
-    def test_empirical_bytes_across_thread_caps(self):
+    def test_empirical_bytes_across_thread_caps(self, forking):
         cls = centered_uniform_class()
         R = 2 * EMP_BLOCK + 3
         runs = [
@@ -391,6 +398,31 @@ class TestSupQuantile:
 
 
 
+def count_forks(monkeypatch) -> list:
+    """Wrap the os.fork that simulate calls; each fork appends the number of live Python threads at that moment."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(simulate.os, "fork", counted)
+    return forks
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Every sample call at threads > 1 forks, on up to four cores, whatever its size."""
+    monkeypatch.setattr(simulate, "EMP_FORK_WORK", 0)
+    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 0)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "threads, blocks, cores, workers",
     [(100_000, 10, 4, 4), (3, 10, 4, 3), (100_000, 2, 4, 2), (100_000, 10, 1, None), (100_000, 10, None, None),
@@ -398,26 +430,144 @@ class TestSupQuantile:
     ids=["cores", "threads", "blocks", "one_core", "unknown_cores", "one_block", "one_thread"],
 )
 def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, blocks, cores, workers):
-    made = []
-
-    class SerialPool:
-        """A ThreadPoolExecutor stand-in that records its max_workers and maps serially, starting no thread."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    """The caller runs the first block range and forks one worker per other range: at most one per block and core."""
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 0)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
     cov = correlated_cov()
     got = gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93), threads=threads).values
-    assert made == ([] if workers is None else [workers])
+    assert len(forks) == (0 if workers is None else workers - 1)
     assert got.tobytes() == gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93)).values.tobytes()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+@pytest.mark.parametrize("kind", ["empirical", "gaussian"])
+def test_calls_below_the_work_threshold_fork_nothing(monkeypatch, kind, below):
+    """The threshold is R n for empirical samples and R dim^2 for Gaussian ones; below it a call stays in-process."""
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    if kind == "empirical":
+        n = 400
+        R = simulate.EMP_FORK_WORK // n - below
+        got = empirical_sup_sample(centered_uniform_class(), lambda g, n: g.random(n), n, R, RngPolicy(94), threads=2)
+    else:
+        cov = CovarianceModel.from_matrix(np.eye(50))
+        R = simulate.GAUSS_FORK_WORK // cov.dim**2 - below
+        got = gaussian_sup_sample(cov, R, RngPolicy(94), threads=2)
+    assert got.R == R
+    assert len(forks) == (0 if below else 1)
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_forks_happen_while_no_other_thread_runs(monkeypatch, forking):
+    """Python 3.12+ warns when a process with live threads forks; no thread runs when the samplers fork."""
+    forks = count_forks(monkeypatch)
+    cls = centered_uniform_class()
+    empirical_sup_sample(cls, lambda g, n: g.random(n), n=200, R=5 * EMP_BLOCK, rng=RngPolicy(95), threads=2)
+    gaussian_sup_sample(correlated_cov(), 3 * GAUSS_BLOCK, RngPolicy(95), threads=3)
+    assert forks == [1, 1, 1]
+
+
+class TestWorkerFailures:
+    """A worker's exception re-raises in the caller with its type; a worker that dies raises WorkerError. No
+    worker outlives the call on any path."""
+
+    R = 4 * EMP_BLOCK
+
+    def run(self, block_fn, threads=2):
+        return simulate._run_blocks(block_fn, self.R, EMP_BLOCK, threads)
+
+    @staticmethod
+    def in_worker(action):
+        """A block_fn that does action(b) in a forked worker and returns zeros in the caller's process."""
+        parent = os.getpid()
+
+        def block(b, m):
+            if os.getpid() != parent:
+                action(b)
+            return np.zeros(m)
+
+        return block
+
+    def test_normal_return(self, forking):
+        parent = os.getpid()
+        got = self.run(lambda b, m: np.full(m, b + (os.getpid() != parent) / 2))
+        assert got.tolist() == [b + (b >= 2) / 2 for b in range(4) for _ in range(EMP_BLOCK)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [CovarianceError("covariance is not symmetric"), MemoryError("no room"),
+                                     KeyError("k")])
+    def test_worker_exception_reraises_with_its_type(self, forking, exc):
+        def fail(b):
+            raise exc
+
+        with pytest.raises(type(exc)) as info:
+            self.run(self.in_worker(fail))
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_still_reaches_the_caller(self, forking):
+        class Local(ValueError):
+            pass
+
+        def fail(b):
+            raise Local("cannot be pickled")
+
+        with pytest.raises(simulate.WorkerError, match="Local: cannot be pickled"):
+            self.run(self.in_worker(fail))
+        assert_no_child_left()
+
+    def test_worker_ended_by_a_signal(self, forking):
+        with pytest.raises(simulate.WorkerError, match=f"worker process ended by signal {int(signal.SIGKILL)}$") as info:
+            self.run(self.in_worker(lambda b: os.kill(os.getpid(), signal.SIGKILL)))
+        assert isinstance(info.value, RuntimeError)
+        assert_no_child_left()
+
+    def test_worker_that_sends_short_data(self, forking):
+        with pytest.raises(simulate.WorkerError, match=f"worker process sent 0 of {8 * self.R // 2} bytes"):
+            self.run(self.in_worker(lambda b: os._exit(0)))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_caller_exception_kills_a_running_worker(self, forking, exc):
+        parent = os.getpid()
+
+        def block(b, m):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise exc("in the caller's own blocks")
+
+        started = time.perf_counter()
+        with pytest.raises(exc):
+            self.run(block, threads=4)
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+
+WORKER_STDIO = """
+import os, sys
+import numpy as np
+from supgauss import simulate
+simulate.os.cpu_count = lambda: 2
+parent = os.getpid()
+sys.stdout.write("buffered ")  # stdout is a pipe: this stays in the buffer across the fork
+
+def block(b, m):
+    if os.getpid() != parent:
+        raise ValueError("in a worker")
+    return np.zeros(m)
+
+try:
+    simulate._run_blocks(block, 32, 8, 2)
+except ValueError:
+    sys.stdout.write("caught by " + ("the parent" if os.getpid() == parent else "a worker"))
+"""
+
+
+def test_workers_leave_by_os_exit_without_unwinding_or_flushing():
+    """A worker never runs the caller's handlers and never flushes the buffer it inherited."""
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", WORKER_STDIO], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered caught by the parent", "")
