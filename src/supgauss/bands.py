@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenarios import design, design_kernel  # noqa: F401  (the benchmark tracer patches bands.design_kernel)
-from .simulate import RngPolicy, SupSample, empirical_sup_sample, gaussian_sup_sample, sup_quantile
+from .simulate import RngPolicy, SupSample, empirical_job, gaussian_job, sample_jobs, sup_quantile
+from .simulate import gaussian_sup_sample  # noqa: F401  (unused here; the benchmark tracer patches this name)
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,11 @@ def coverage_experiment(
     if not np.allclose(np.diag(d.cov.sigma), 1.0):
         raise ValueError("coverage experiments require a studentized scenario")
     absolute = side == "two_sided"
-    inner_rng = rng.with_salt(rng.salt + 101)
-    gauss = gaussian_sup_sample(
-        d.cov, R_inner, inner_rng, absolute=absolute, statistic_id="band_gauss", threads=threads
-    )
+    gauss, emp = sample_jobs([
+        gaussian_job(d.cov, R_inner, rng.with_salt(rng.salt + 101), absolute=absolute, statistic_id="band_gauss"),
+        empirical_job(d.cls, d.sampler, n, R_outer, rng, absolute=absolute),
+    ], threads)
     c_alpha = critical_value(gauss, alpha)
-    emp = empirical_sup_sample(d.cls, d.sampler, n, R_outer, rng, absolute=absolute, threads=threads)
     report = CoverageReport(
         nominal=1.0 - alpha,
         empirical=int(np.count_nonzero(emp.values <= c_alpha)) / R_outer,  # a float: summary.txt writes its repr

@@ -146,8 +146,9 @@ PARAM_RULES = {
     "K_q": _POSITIVE, "c_const": _POSITIVE, "C_log": _POSITIVE,
     "n_exponents": (lambda v: isinstance(v, list) and v and all(_int_from(2)(e) and e <= 1023 for e in v),
                     "a nonempty list of integers from 2 to 1023 (n = 2^e must be at least 3 and a float)"),
-    "n_list": (lambda v: isinstance(v, list) and len(v) >= 3 and all(map(_int_from(3), v))
-               and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of at least 3 "
+    # at most 2^14 entries: rate salts entry i's samples 4i + 1 and 4i + 3, and salts stay below 2^16
+    "n_list": (lambda v: isinstance(v, list) and 3 <= len(v) <= 2**14 and all(map(_int_from(3), v))
+               and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of 3 to 16384 "
                "integers n >= 3 (the coupling constructions assume n >= 3)"),
     "side": _one_of(("two_sided", "one_sided_lower")),
 }
@@ -555,15 +556,14 @@ def run(config: RunConfig) -> int:
         (outdir / "summary.txt").write_text(text + "\n", encoding="utf-8")
         return 3
     wall = time.perf_counter() - started
-    import scipy
-
+    scipy = sys.modules.get("scipy")  # importing it only to read its version would cost every run about 15 ms
     manifest = {
         "config": asdict(config),
         "seed": config.seed,
         "versions": {
             "supgauss": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy.__version__ if scipy else None,  # null when the run loaded no scipy code
             "python": sys.version.split()[0],
         },
         "wall_time_s": wall,

@@ -3,15 +3,19 @@
 Replications run in fixed-size blocks, one keyed RNG stream per block
 (``GAUSS_BLOCK`` Gaussian or ``EMP_BLOCK`` empirical replications, drawn one
 after another from the block's stream), so that results are byte-identical for
-a given master seed regardless of execution order or worker count.
+a given master seed regardless of execution order or worker count. A sample is
+a ``Job``; the samples of one experiment run as one schedule (``sample_jobs``).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 import pickle
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,10 +31,16 @@ _INDEX_MASK = (1 << _SALT_SHIFT) - 1
 # differ in the last bits), so it must not change with the worker count.
 GAUSS_BLOCK = 1024
 EMP_BLOCK = 8
-# Work below which a sample call runs in-process whatever the worker cap, since a fork costs about 5 ms:
-# R * n for an empirical sample, R * dim**2 for a Gaussian one (break-evens measured in README.md).
+# Work below which a schedule runs in-process whatever the worker cap, since a fork costs about 5 ms: a sample's
+# share is R * n / EMP_FORK_WORK if empirical, R * dim**2 / GAUSS_FORK_WORK if Gaussian, and a schedule forks when
+# its samples' shares sum to 1 (break-evens measured in README.md).
 EMP_FORK_WORK = 400_000
 GAUSS_FORK_WORK = 100_000_000
+# Fixed cost of an empirical replication in data points, for splitting a schedule's blocks by work: a kernel
+# replication at n points took about 71 us + 0.03 us * n (86 / 137 / 308 us at n = 500 / 2000 / 8000), so it weighs
+# n + 2000 points. A Gaussian one at dim coordinates took about 0.03 us * dim (0.28 / 2.0 / 9.3 us at dim 8 / 64 /
+# 256) and weighs dim points. The weights decide only the blocks next to a cut (see _parts).
+EMP_REP_POINTS = 2_000
 
 
 class CovarianceError(RuntimeError, ValueError):
@@ -149,44 +159,106 @@ class CovarianceModel:
         return CovarianceModel(self.sigma * a * a, self.factor * a)
 
 
+@dataclass(frozen=True)
+class Job:
+    """One sample's R replications in blocks of ``size``: block b fills its m replications with block_fn(b, m).
+
+    ``weight`` estimates one replication's cost in points (see EMP_REP_POINTS) and ``share`` the job's part of
+    the work that pays for a fork; ``statistic_id``, ``rng`` and ``n`` label the SupSample its values become.
+    """
+
+    block_fn: Callable[[int, int], object]
+    R: int
+    size: int
+    weight: float
+    share: float
+    statistic_id: str
+    rng: RngPolicy
+    n: int = 0
+
+
 class WorkerError(RuntimeError):
     """A worker process ended by a signal, exited without a Python exception, or sent short data."""
 
 
-def _run_blocks(block_fn, R: int, size: int, threads: int) -> np.ndarray:
-    """Fill out[s:e] = block_fn(b, e - s) over blocks b of ``size`` replications.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    At ``threads > 1`` the blocks split into contiguous ranges, at most one per block and per core. The caller's
-    process runs the first range and forks a worker process for each other one, which sends its values back
-    as raw float64 bytes through a pipe. Every worker is reaped, or killed and reaped, before this returns.
+
+class _Block(NamedTuple):
+    job: Job
+    index: int
+    offset: int  # of its first value in the schedule's output
+    m: int  # its replications
+
+
+def _parts(jobs: list, ranges: int) -> list[list[_Block]]:
+    """The jobs' blocks cut into at most ``ranges`` parts of about equal estimated work (a block's replications
+    times its job's weight), each part in call order.
+
+    The blocks are ordered by their place in their job and cut where the running work is nearest to each
+    i / ranges of the total. Each part so holds about the same share of every job, and the split does not hang
+    on how well the weights compare one job with another: only the blocks next to a cut do.
     """
-    out = np.empty(R)
-    blocks = -(-R // size)
-    workers = max(1, min(threads if hasattr(os, "fork") else 1, blocks, os.cpu_count() or 1))
+    starts = itertools.accumulate((job.R for job in jobs), initial=0)
+    blocks = [_Block(job, b, start + b * job.size, min(job.size, job.R - b * job.size))
+              for job, start in zip(jobs, starts) for b in range(-(-job.R // job.size))]
+    order = sorted(range(len(blocks)), key=lambda i: (blocks[i].index * blocks[i].job.size + blocks[i].m / 2)
+                   / blocks[i].job.R)
+    total = list(itertools.accumulate((blocks[i].m * blocks[i].job.weight for i in order), initial=0.0))
 
-    def fill(s: int, e: int) -> np.ndarray:
-        for b in range(s // size, -(-e // size)):
-            out[b * size:(b + 1) * size] = block_fn(b, min(size, R - b * size))
-        return out[s:e]
+    def nearest(target: float) -> int:
+        j = bisect.bisect_left(total, target)
+        return j - 1 if j and target - total[j - 1] <= total[j] - target else j
 
-    cuts = [min(k * blocks // workers * size, R) for k in range(workers + 1)]
+    inner = {nearest(k * total[-1] / ranges) for k in range(1, ranges)} - {0, len(blocks)}
+    cuts = [0, *sorted(inner), len(blocks)]
+    return [[blocks[i] for i in sorted(order[lo:hi])] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
+    """Each job's values: job.block_fn(b, m) for its blocks b of ``job.size`` replications, m in the last one fewer.
+
+    At ``threads > 1``, when the jobs' shares sum to at least 1, the blocks of all jobs are cut into at most
+    min(threads, CPUs) parts of about equal work (see _parts). The caller's process runs the first part and
+    forks a worker process for each other one, which sends its values back as raw float64 bytes through a pipe;
+    the caller writes them into the jobs' arrays. Every worker is reaped, or killed and reaped, before this
+    returns. Which process runs a block never changes its values.
+    """
+    starts = list(itertools.accumulate((job.R for job in jobs), initial=0))
+    out = np.empty(starts[-1])
+    forks = hasattr(os, "fork") and sum(job.share for job in jobs) >= 1
+    parts = _parts(jobs, max(1, min(threads if forks else 1, _cpus())))
+
+    def fill(part: list) -> np.ndarray:
+        """Compute the part's blocks into out and return their values in the part's order."""
+        for job, b, offset, m in part:
+            out[offset:offset + m] = job.block_fn(b, m)
+        return np.concatenate([out[offset:offset + m] for _, _, offset, m in part] or [out[:0]])
+
     children = {}  # pid -> read end of its pipe, None once a read has taken it
     try:
-        spans = {_fork(children, fill, s, e): (s, e) for s, e in zip(cuts[1:], cuts[2:])}
-        fill(0, cuts[1])
-        for pid, (s, e) in spans.items():
-            out[s:e] = np.frombuffer(_collect(children, pid, 8 * (e - s)))
+        spans = {_fork(children, fill, part): part for part in parts[1:]}
+        fill(parts[0])
+        for pid, part in spans.items():
+            values, at = np.frombuffer(_collect(children, pid, 8 * sum(blk.m for blk in part))), 0
+            for _, _, offset, m in part:
+                out[offset:offset + m] = values[at:at + m]
+                at += m
     finally:  # after an error: kill and reap the workers left, closing the pipes no read has taken
         for pid, fd in children.items():
             if fd is not None:
                 os.close(fd)
             os.kill(pid, 9)  # SIGKILL, without loading the signal module
             os.waitpid(pid, 0)
-    return out
+    return [out[s:e] for s, e in zip(starts, starts[1:])]
 
 
-def _fork(children: dict, fill, s: int, e: int) -> int:
-    """Fork a worker that writes fill(s, e) as raw bytes, or its exception pickled, and leaves by os._exit."""
+def _fork(children: dict, fill, part: list) -> int:
+    """Fork a worker that writes fill(part) as raw bytes, or its exception pickled, and leaves by os._exit."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -200,7 +272,7 @@ def _fork(children: dict, fill, s: int, e: int) -> int:
             os.close(r)
             _leave_parent_cpu()
             try:
-                payload, code = fill(s, e).tobytes(), 0
+                payload, code = fill(part).tobytes(), 0
             except BaseException as exc:
                 try:
                     payload = pickle.dumps(exc)
@@ -257,6 +329,43 @@ def _sup(z: np.ndarray, absolute: bool) -> np.ndarray:
     return (np.abs(z) if absolute else z).max(axis=-1)
 
 
+def sample_jobs(jobs: list, threads: int = 1) -> list[SupSample]:
+    """Each job's SupSample, with the jobs run as one schedule: one fork decision and one work-balanced split of
+    all their blocks (see _run_blocks)."""
+    return [SupSample(values, job.statistic_id, job.rng.master_seed, job.rng.salt, job.n)
+            for job, values in zip(jobs, _run_blocks(jobs, threads))]
+
+
+def empirical_job(
+    cls: DiscretizedClass, sampler, n: int, R: int, rng: RngPolicy, absolute: bool = False,
+    statistic_id: str = "empirical_sup",
+) -> Job:
+    """The replications of ``empirical_sup_sample`` as a job of a schedule."""
+    if n < 3:
+        raise ValueError("sample size must be at least 3")
+    if not cls.centered:
+        raise ValueError("the empirical supremum requires a centered class")
+    root_n = math.sqrt(n)
+
+    def block(b: int, m: int) -> list:
+        gen = rng.stream_of(b)
+        return [_sup(cls.sum_columns(sampler(gen, n)) / root_n, absolute) for _ in range(m)]
+
+    return Job(block, R, EMP_BLOCK, n + EMP_REP_POINTS, R * n / EMP_FORK_WORK, statistic_id, rng, n)
+
+
+def gaussian_job(cov: CovarianceModel, R: int, rng: RngPolicy, absolute: bool = False,
+                 statistic_id: str = "gaussian_sup") -> Job:
+    """The replications of ``gaussian_sup_sample`` as a job of a schedule."""
+    LT = cov.factor.T
+
+    def block(b: int, m: int) -> np.ndarray:
+        # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
+        return _sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ LT, absolute)
+
+    return Job(block, R, GAUSS_BLOCK, cov.dim, R * cov.dim**2 / GAUSS_FORK_WORK, statistic_id, rng)
+
+
 def empirical_sup_sample(
     cls: DiscretizedClass,
     sampler,
@@ -274,18 +383,7 @@ def empirical_sup_sample(
     ``absolute=True`` the statistic is max_j |.|, i.e. the supremum over the
     class closed under negation.
     """
-    if n < 3:
-        raise ValueError("sample size must be at least 3")
-    if not cls.centered:
-        raise ValueError("the empirical supremum requires a centered class")
-    root_n = math.sqrt(n)
-
-    def block(b: int, m: int) -> list:
-        gen = rng.stream_of(b)
-        return [_sup(cls.sum_columns(sampler(gen, n)) / root_n, absolute) for _ in range(m)]
-
-    values = _run_blocks(block, R, EMP_BLOCK, threads if R * n >= EMP_FORK_WORK else 1)
-    return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=n)
+    return sample_jobs([empirical_job(cls, sampler, n, R, rng, absolute, statistic_id)], threads)[0]
 
 
 def gaussian_sup_sample(
@@ -301,14 +399,7 @@ def gaussian_sup_sample(
     With ``absolute=True`` the statistic is max_j |(L xi)_j|, i.e. the supremum
     over the class closed under negation.
     """
-    LT = cov.factor.T
-
-    def block(b: int, m: int) -> np.ndarray:
-        # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
-        return _sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ LT, absolute)
-
-    values = _run_blocks(block, R, GAUSS_BLOCK, threads if R * cov.dim**2 >= GAUSS_FORK_WORK else 1)
-    return SupSample(values=values, statistic_id=statistic_id, seed=rng.master_seed, salt=rng.salt, n=0)
+    return sample_jobs([gaussian_job(cov, R, rng, absolute, statistic_id)], threads)[0]
 
 
 def ks_distance(a: SupSample, b: SupSample) -> tuple[float, float]:

@@ -176,8 +176,7 @@ class TestCoverage:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the side was checked")
 
-        monkeypatch.setattr(bands, "gaussian_sup_sample", no_sampling)
-        monkeypatch.setattr(bands, "empirical_sup_sample", no_sampling)
+        monkeypatch.setattr(bands, "sample_jobs", no_sampling)
         with pytest.raises(ValueError, match="side must be"):
             coverage_experiment(kernel_density_scenario(grid_points=8), alpha=0.1, n=300, R_outer=10, R_inner=100,
                                 rng=RngPolicy(33), side="two-sided")

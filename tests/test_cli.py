@@ -1,5 +1,6 @@
 """Config validation, run artifacts, determinism of the CLI."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -58,6 +59,13 @@ class TestValidate:
         assert [e.path for e in errors] == ["thraeds"]
         assert '"thraeds"' in text.splitlines()[errors[0].line - 1]
         assert "a config takes no key 'thraeds'" in errors[0].message
+
+    def test_n_list_takes_at_most_2_14_entries(self):
+        """rate salts entry i's two samples 4i + 1 and 4i + 3, below the 2^16 salts RngPolicy takes."""
+        for size, anchors in ((2**14, []), (2**14 + 1, ["params.n_list"])):
+            cfg = minimal_config(subcommand="rate", params={"n_list": list(range(3, 3 + size))})
+            assert [e.path for e in validate(json.dumps(cfg))[1]] == anchors
+        simulate.RngPolicy(0, 4 * (2**14 - 1) + 3)
 
     def test_small_n_rejected(self):
         cfg = minimal_config(subcommand="rate", params={"n_list": [2, 500, 800]})
@@ -290,6 +298,7 @@ class TestScenarioContract:
             ("bands", {"side": "upper"}, "params.side"),
             ("bands", {"target": "true_function"}, "params.target"),
             ("rate", {"n_list": [500, 2000]}, "params.n_list"),
+            ("rate", {"n_list": list(range(3, 3 + 2**14 + 1))}, "params.n_list"),
             ("anticoncentration", {"epsilons": [0.0]}, "params.epsilons"),
             ("anticoncentration", {"epsilons": ["a"]}, "params.epsilons"),
             # keys the subcommand's runner does not read
@@ -298,8 +307,8 @@ class TestScenarioContract:
             ("rate", {"R_outer": 5}, "params.R_outer"),
             ("anticoncentration", {"n_list": [100, 200, 400]}, "params.n_list"),
         ],
-        ids=["side_upper", "target_true_function", "two_sample_sizes", "zero_epsilon", "string_epsilon",
-             "misspelled_replications", "misspelled_R_outer", "bands_key_under_rate", "rate_key_under_anticoncentration"],
+        ids=["side_upper", "target_true_function", "two_sample_sizes", "too_many_sample_sizes", "zero_epsilon",
+             "string_epsilon", "misspelled_replications", "misspelled_R_outer", "bands_key_under_rate", "rate_key_under_anticoncentration"],
     )
     def test_bad_params_exits_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_cli(tmp_path, subcommand, {"type": "kernel_density"}, params) == 2
@@ -587,7 +596,7 @@ STARTUP = """
 import json, os, sys, tempfile
 from pathlib import Path
 from supgauss import cli, scenarios
-UNUSED = ("scipy.special", "scipy.interpolate", "numpy.ma", "numpy.polynomial", "supgauss.bounds", "supgauss.smoothmax",
+UNUSED = ("scipy", "scipy.special", "scipy.interpolate", "numpy.ma", "numpy.polynomial", "supgauss.bounds", "supgauss.smoothmax",
           "concurrent.futures", "multiprocessing")
 loaded = lambda: [m for m in UNUSED if m in sys.modules]
 seen = [loaded()]
@@ -603,7 +612,7 @@ with tempfile.TemporaryDirectory() as tmp:
 from supgauss import simulate
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
-os.cpu_count = lambda: 2
+simulate._cpus = lambda: 2
 d = scenarios.design(cli.scenario_from_config({"type": "series_mean"}), 500)
 simulate.empirical_sup_sample(d.cls, d.sampler, 500, simulate.EMP_FORK_WORK // 500, simulate.RngPolicy(6), threads=2)
 seen.append(["forked", len(forks), loaded()])
@@ -618,9 +627,23 @@ def run_fresh(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs)
 
 
+def test_manifest_names_scipy_only_when_the_run_loaded_it(tmp_path):
+    """A kernel `rate` run loads no scipy, and its manifest says so; a run in a process that holds scipy names it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "rate", "seed": 6, "scenario": {"type": "kernel_density"},
+                                "params": TINY_PARAMS["rate"]}), encoding="utf-8")
+    assert run_fresh("-m", "supgauss.cli", "--config", str(path), "--output", str(tmp_path / "fresh")).returncode == 0
+    import scipy
+
+    assert main(["--config", str(path), "--output", str(tmp_path / "held")]) == 0
+    versions = {run: json.loads((tmp_path / run / "manifest.json").read_text())["versions"] for run in ("fresh", "held")}
+    assert (versions["fresh"]["scipy"], versions["held"]["scipy"]) == (None, scipy.__version__)
+
+
 def test_startup_imports_no_unused_scipy_submodule():
     """The CLI, the default designs and a default kernel `rate` and `bands` run load nothing they do not use:
-    neither scipy.special (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate, neither
+    no scipy at all (the manifest names its version only when a run loaded it), so neither scipy.special
+    (Beta(2, 2)'s normalizer is the constant -log 6) nor scipy.interpolate, neither
     numpy.ma (the window edges are deduplicated without np.unique) nor numpy.polynomial (the quadrature rule is
     stored), not the closed-form modules, and neither a thread pool nor multiprocessing, even when a sample forks."""
     params = {sub: TINY_PARAMS[sub] for sub in ("rate", "bands")}
@@ -628,26 +651,64 @@ def test_startup_imports_no_unused_scipy_submodule():
     assert out.strip() == str([[], [], [], ["rate", 0, []], ["bands", 0, []], ["forked", 1, []]])
 
 
+class TestOneSchedulePerRun:
+    """A `rate` or `bands` run decides the fork once, from the summed work of all its samples."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch) -> list:
+        forks, fork = [], os.fork
+        monkeypatch.setattr(simulate.os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        return forks
+
+    @staticmethod
+    def run_threads(tmp_path, subcommand, params, threads) -> dict:
+        path = tmp_path / "cfg.json"
+        cfg = {"subcommand": subcommand, "seed": 6, "scenario": {"type": "kernel_density"}, "params": params}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / f"t{threads}"
+        assert main(["--config", str(path), "--output", str(out), "--threads", str(threads)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    def test_rate_samples_below_their_own_threshold_fork_once_together(self, tmp_path, forks):
+        params = {"n_list": [1000, 1500, 2000], "replications": 120}
+        shares = [params["replications"] * n / simulate.EMP_FORK_WORK for n in params["n_list"]]
+        assert max(shares) < 1 <= sum(shares)
+        serial = self.run_threads(tmp_path, "rate", params, 1)
+        assert forks == []
+        assert self.run_threads(tmp_path, "rate", params, 2) == serial
+        assert forks == [1]
+
+    def test_band_calibration_sizes_fork_nothing(self, tmp_path, forks):
+        """60 outer replications at n = 2000 and 12,000 inner ones at dim 64 weigh 0.3 + 0.49 of a fork."""
+        params = {"n": 2000, "alpha": 0.05, "R_outer": 60, "R_inner": 12_000}
+        self.run_threads(tmp_path, "bands", params, 2)
+        assert forks == []
+
+
 class TestWorkerFailureExits3:
     """A worker process that raises or dies maps to exit 3 with a message in summary.txt, never a traceback."""
 
     @pytest.fixture(autouse=True)
     def forking(self, monkeypatch):
-        monkeypatch.setattr(simulate, "EMP_FORK_WORK", 0)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "EMP_FORK_WORK", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
 
     @staticmethod
     def run_rate(monkeypatch, tmp_path, action) -> int:
         """A kernel `rate` run at two threads whose forked workers call action() before each block."""
         parent, run_blocks = os.getpid(), simulate._run_blocks
 
-        def in_workers(block_fn, R, size, threads):
-            def block(b, m):
-                if os.getpid() != parent:
-                    action()
-                return block_fn(b, m)
+        def in_workers(jobs, threads):
+            def in_worker(block_fn):
+                def block(b, m):
+                    if os.getpid() != parent:
+                        action()
+                    return block_fn(b, m)
 
-            return run_blocks(block, R, size, threads)
+                return block
+
+            return run_blocks([dataclasses.replace(job, block_fn=in_worker(job.block_fn)) for job in jobs], threads)
 
         monkeypatch.setattr(simulate, "_run_blocks", in_workers)
         path = tmp_path / "cfg.json"

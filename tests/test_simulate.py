@@ -412,10 +412,15 @@ def count_forks(monkeypatch) -> list:
 
 @pytest.fixture
 def forking(monkeypatch):
-    """Every sample call at threads > 1 forks, on up to four cores, whatever its size."""
-    monkeypatch.setattr(simulate, "EMP_FORK_WORK", 0)
-    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 0)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    """Every sample call at threads > 1 forks, on up to four CPUs, whatever its size."""
+    monkeypatch.setattr(simulate, "EMP_FORK_WORK", 1)
+    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+
+
+def job(block_fn, R: int, size: int, weight: float = 1.0) -> simulate.Job:
+    """A job of R replications in blocks of size, with a share that forks at threads > 1."""
+    return simulate.Job(block_fn, R, size, weight, 1.0, "x", RngPolicy(0))
 
 
 def assert_no_child_left():
@@ -430,9 +435,11 @@ def assert_no_child_left():
     ids=["cores", "threads", "blocks", "one_core", "unknown_cores", "one_block", "one_thread"],
 )
 def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, blocks, cores, workers):
-    """The caller runs the first block range and forks one worker per other range: at most one per block and core."""
+    """The caller runs the first block range and forks one worker per other range: at most one per block and core.
+    Where the OS keeps no affinity mask, os.cpu_count() counts the cores, and an unknown count means one."""
     forks = count_forks(monkeypatch)
-    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 0)
+    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
     cov = correlated_cov()
     got = gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93), threads=threads).values
@@ -446,7 +453,7 @@ def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, bl
 def test_calls_below_the_work_threshold_fork_nothing(monkeypatch, kind, below):
     """The threshold is R n for empirical samples and R dim^2 for Gaussian ones; below it a call stays in-process."""
     forks = count_forks(monkeypatch)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     if kind == "empirical":
         n = 400
         R = simulate.EMP_FORK_WORK // n - below
@@ -457,6 +464,56 @@ def test_calls_below_the_work_threshold_fork_nothing(monkeypatch, kind, below):
         got = gaussian_sup_sample(cov, R, RngPolicy(94), threads=2)
     assert got.R == R
     assert len(forks) == (0 if below else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the OS keeps no affinity masks")
+def test_one_cpu_mask_forks_nothing(monkeypatch):
+    """Workers are capped at the CPUs of the affinity mask, not at os.cpu_count()."""
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        cpus = simulate._cpus()
+        got = gaussian_sup_sample(correlated_cov(), 4 * GAUSS_BLOCK, RngPolicy(96), threads=2)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert (cpus, forks, got.R) == (1, [], 4 * GAUSS_BLOCK)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_schedule_puts_every_block_in_exactly_one_part(monkeypatch, forking, workers):
+    """Jobs of uneven weights are cut into parts of about equal work that each hold about the same share of every
+    job. The caller runs the first part and one forked worker each other one, and every block's values land in its
+    own job's slots."""
+    forks = count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def returns_index(j):
+        return lambda b, m: np.full(m, 1000.0 * j + b + (os.getpid() != parent) / 2)
+
+    shapes = [(5 * EMP_BLOCK + 3, EMP_BLOCK, 8500.0), (40, 16, 64.0), (3 * EMP_BLOCK, EMP_BLOCK, 2500.0),
+              (1, EMP_BLOCK, 10_000.0)]
+    jobs = [job(returns_index(j), R, size, weight) for j, (R, size, weight) in enumerate(shapes)]
+    number = {id(jb): j for j, jb in enumerate(jobs)}
+    parts = simulate._parts(jobs, workers)
+    placed = [[(number[id(blk.job)], blk.index) for blk in part] for part in parts]
+    assert len(parts) == workers and all(part == sorted(part) for part in placed)
+    assert sorted(sum(placed, [])) == [(j, b) for j, (R, size, _) in enumerate(shapes) for b in range(-(-R // size))]
+    for j, (R, size, _) in enumerate(shapes):
+        shares = [sum(jb == j for jb, _ in part) for part in placed]
+        assert max(shares) - min(shares) <= 1 + (R > size)
+    work = [sum(blk.m * blk.job.weight for blk in part) for part in parts]
+    assert max(work) - min(work) <= 2 * EMP_BLOCK * max(weight for _, _, weight in shapes)
+
+    got = simulate._run_blocks(jobs, threads=workers)
+    assert len(forks) == workers - 1
+    assert [values.size for values in got] == [R for R, _, _ in shapes]
+    for j, (values, (R, size, _)) in enumerate(zip(got, shapes)):
+        expected = [1000 * j + b + ((j, b) not in placed[0]) / 2 for b in range(-(-R // size)) for _ in range(size)]
+        assert values.tolist() == expected[:R]
+    assert_no_child_left()
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -476,7 +533,7 @@ class TestWorkerFailures:
     R = 4 * EMP_BLOCK
 
     def run(self, block_fn, threads=2):
-        return simulate._run_blocks(block_fn, self.R, EMP_BLOCK, threads)
+        return simulate._run_blocks([job(block_fn, self.R, EMP_BLOCK)], threads)[0]
 
     @staticmethod
     def in_worker(action):
@@ -549,7 +606,7 @@ WORKER_STDIO = """
 import os, sys
 import numpy as np
 from supgauss import simulate
-simulate.os.cpu_count = lambda: 2
+simulate._cpus = lambda: 2
 parent = os.getpid()
 sys.stdout.write("buffered ")  # stdout is a pipe: this stays in the buffer across the fork
 
@@ -559,7 +616,7 @@ def block(b, m):
     return np.zeros(m)
 
 try:
-    simulate._run_blocks(block, 32, 8, 2)
+    simulate._run_blocks([simulate.Job(block, 32, 8, 1.0, 1.0, "x", simulate.RngPolicy(0))], 2)
 except ValueError:
     sys.stdout.write("caught by " + ("the parent" if os.getpid() == parent else "a worker"))
 """
