@@ -162,27 +162,26 @@ DATA_LAWS = {"uniform": Uniform01, "beta": BetaLaw, "truncnorm": TruncNorm}
 
 
 # ---------------------------------------------------------------------------
-# g-families for kernel statistics
+# g-families for kernel statistics: each has one g, so a kernel design has one column per grid point
 
 @dataclass(frozen=True)
 class DensityFamily:
     """g = 1: the statistic estimates the design density."""
 
     x_law: object
-    g_count: ClassVar[int] = 1
 
     def sample(self, gen, n):
         return self.x_law.sample(gen, n)
 
     def g_values(self, batch):
         x = np.asarray(batch, dtype=float)
-        return np.ones((x.size, 1)), x
+        return np.ones(x.size), x
 
     def g_mean(self, t):
-        return np.ones((np.asarray(t).size, 1))
+        return np.ones(np.asarray(t).size)
 
     def g_cross(self, t):
-        return np.ones((np.asarray(t).size, 1, 1))
+        return np.ones(np.asarray(t).size)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,6 @@ class RegressionFamily:
     x_law: object
     mean_fn: callable
     sd_fn: callable
-    g_count: ClassVar[int] = 1
 
     def sample(self, gen, n):
         x = self.x_law.sample(gen, n)
@@ -201,55 +199,15 @@ class RegressionFamily:
 
     def g_values(self, batch):
         y, x = batch
-        return np.asarray(y, dtype=float)[:, None], np.asarray(x, dtype=float)
+        return np.asarray(y, dtype=float), np.asarray(x, dtype=float)
 
     def g_mean(self, t):
-        return np.asarray(self.mean_fn(t), dtype=float)[:, None]
+        return np.asarray(self.mean_fn(t), dtype=float)
 
     def g_cross(self, t):
         m = np.asarray(self.mean_fn(t), dtype=float)
         s = np.asarray(self.sd_fn(t), dtype=float)
-        return (m * m + s * s)[:, None, None]
-
-
-@dataclass(frozen=True)
-class CondCdfFamily:
-    """g_y = 1(Y <= y) over a y-grid, Y = m(X) + sd(X) * N(0,1)."""
-
-    x_law: object
-    mean_fn: callable
-    sd_fn: callable
-    y_grid: np.ndarray
-
-    @property
-    def g_count(self):
-        return len(self.y_grid)
-
-    def sample(self, gen, n):
-        x = self.x_law.sample(gen, n)
-        y = self.mean_fn(x) + self.sd_fn(x) * gen.standard_normal(n)
-        return (y, x)
-
-    def g_values(self, batch):
-        y, x = batch
-        y = np.asarray(y, dtype=float)
-        g = (y[:, None] <= np.asarray(self.y_grid)[None, :]).astype(float)
-        return g, np.asarray(x, dtype=float)
-
-    def _cdf(self, t, y):
-        """P(Y <= y | X = t): one row per node t, each row the shape of the level array y."""
-        from scipy.special import ndtr
-
-        t = np.asarray(t, dtype=float)
-        m, s = (np.asarray(f(t), dtype=float).reshape(t.shape + (1,) * y.ndim) for f in (self.mean_fn, self.sd_fn))
-        return ndtr((y - m) / s)
-
-    def g_mean(self, t):
-        return self._cdf(t, np.asarray(self.y_grid, dtype=float))
-
-    def g_cross(self, t):
-        y = np.asarray(self.y_grid, dtype=float)
-        return self._cdf(t, np.minimum.outer(y, y))  # E[1(Y <= y_l) 1(Y <= y_m)] = F(min(y_l, y_m))
+        return m * m + s * s
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +260,26 @@ class KernelDesign:
     scenario: KernelScenario
     n: int
     h: float
-    means: np.ndarray  # (Nx, L) uncentered kernel moments E[g k]
-    variances: np.ndarray  # (Nx, L) Var of the h^{-d/2}-scaled statistic
-    c: np.ndarray  # (Nx, L) normalizing constants
+    means: np.ndarray  # (Nx,) uncentered kernel moments E[g k]
+    variances: np.ndarray  # (Nx,) Var of the h^{-d/2}-scaled statistic
+    c: np.ndarray  # (Nx,) normalizing constants
     cls: DiscretizedClass
     cov: CovarianceModel
     sampler: callable
 
     @property
     def index_grid(self) -> np.ndarray:
-        return np.repeat(np.asarray(self.scenario.x_grid, dtype=float), self.means.shape[1])
+        return np.asarray(self.scenario.x_grid, dtype=float)
 
     @property
     def sigma_hat_sd(self) -> np.ndarray:
-        """Standard deviation of the raw estimator S_n(x, g) itself."""
-        return np.sqrt(self.variances.reshape(-1) / (self.n * self.h))
+        """Standard deviation of the raw estimator S_n(x) itself."""
+        return np.sqrt(self.variances / (self.n * self.h))
 
     @property
     def estimator_mean(self) -> np.ndarray:
-        """E[S_n(x, g)] = h^{-1} E[g k]."""
-        return self.means.reshape(-1) / self.h
+        """E[S_n(x)] = h^{-1} E[g k]."""
+        return self.means / self.h
 
     @property
     def predicted_rate(self) -> float:
@@ -368,21 +326,20 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     kern = scn.kernel
     law = scn.family.x_law
     xg = np.asarray(scn.x_grid, dtype=float)
-    nx, L = xg.size, scn.family.g_count
     lo_s, hi_s = law.support
     collapsed = (xg - kern.window * h == xg) | (xg + kern.window * h == xg)
     if np.any(collapsed):
         raise CovarianceError(f"bandwidth h = {h} at n = {n} is below the float spacing at grid point {xg[collapsed][0]}")
 
-    # first moments E[g_l(Y) k((X - x_j)/h)] and raw second moments E[g_l g_m k_j k_k]
+    # first moments E[g(Y) k((X - x_j)/h)] and raw second moments E[g^2 k_j k_k]
     # by the 256-node rule on every panel between the window edges, where every kernel is smooth
     edges = np.concatenate([[lo_s, hi_s], xg - kern.window * h, xg + kern.window * h])
     breaks = _sorted_distinct(np.clip(edges, lo_s, hi_s))
     mid = 0.5 * (breaks[:-1] + breaks[1:])
     t, w = gauss_legendre_rule(breaks[:-1, None], breaks[1:, None])  # (panels, nodes)
     wd = w * law.density(t)
-    gm = scn.family.g_mean(t.ravel()).reshape(t.shape + (L,))
-    gc = scn.family.g_cross(t.ravel()).reshape(t.shape + (L, L))
+    gm = scn.family.g_mean(t.ravel()).reshape(t.shape)
+    gc = scn.family.g_cross(t.ravel()).reshape(t.shape)
     if isinstance(kern, Epanechnikov):
         # on panel p the window of x_j is 0.75 sum_a A[a, j, p] u^a = 0.75((1 - d^2) - 2 d u - u^2), with
         # u = (t - mid_p)/h, d = (mid_p - x_j)/h: exact combinations of the panel sums of w dens g u^r
@@ -391,50 +348,44 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         A = np.stack([np.where(inside, 1.0 - d * d, 0.0), np.where(inside, -2.0 * d, 0.0), -inside.astype(float)])
         u, mu1, mu2 = (t - mid[:, None]) / h, [], []
         for r in range(5):
-            mu1.append(np.einsum("pt,ptl->pl", wd, gm))
-            mu2.append(np.einsum("pt,ptlm->plm", wd, gc))
+            mu1.append(np.einsum("pt,pt->p", wd, gm))
+            mu2.append(np.einsum("pt,pt->p", wd, gc))
             wd = wd * u
-        means = 0.75 * np.einsum("ajp,apl->jl", A, np.stack(mu1[:3]))
-        S = np.einsum("ajp,abplm->jbplm", A, np.stack(mu2)[np.add.outer(np.arange(3), np.arange(3))])
-        raw = 0.5625 * np.tensordot(S, A, axes=([1, 2], [0, 2])).transpose(0, 1, 3, 2)  # sum over b, p
+        means = 0.75 * np.einsum("ajp,ap->j", A, np.stack(mu1[:3]))
+        S = np.einsum("ajp,abp->jbp", A, np.stack(mu2)[np.add.outer(np.arange(3), np.arange(3))])
+        raw = 0.5625 * np.tensordot(S, A, axes=([1, 2], [0, 2]))  # sum over b, p
     else:  # the kernel at every node of every panel
         kv = kern((t.reshape(-1, 1) - xg[None, :]) / h)  # (nodes, nx)
         wk = wd.reshape(-1, 1) * kv
-        means = wk.T @ gm.reshape(-1, L)
-        raw = np.tensordot(wk[:, :, None, None] * gc.reshape(-1, 1, L, L), kv, axes=(0, 0)).transpose(0, 1, 3, 2)
+        means = wk.T @ gm.ravel()
+        raw = (wk * gc.reshape(-1, 1)).T @ kv
 
-    second = np.einsum("jljl->jl", raw)
+    second = np.diagonal(raw)
     variances = (second - means**2) / h
     if scn.normalization == "studentized":
         if np.any(variances <= 1e-14):
-            bad = xg[np.where(variances.min(axis=1) <= 1e-14)[0][0]]
+            bad = xg[np.argmax(variances <= 1e-14)]
             raise CovarianceError(f"zero variance at grid point {bad}: studentization undefined")
         # studentizing scales raw's rounding, about eps * second, by second / (variances h): past
         # SYMMETRY_TOL / eps that alone would fail the covariance's symmetry check
-        lost = (second / (variances * h)).max(axis=1)
+        lost = second / (variances * h)
         if lost.max() * np.finfo(float).eps > CovarianceModel.SYMMETRY_TOL:
             raise CovarianceError(
                 f"studentization at grid point {xg[lost.argmax()]} loses {math.log10(lost.max()):.1f} of 16 digits")
         c = 1.0 / np.sqrt(variances)
     else:
-        c = np.ones((nx, L))
+        c = np.ones(xg.size)
 
-    # covariance of the Gaussian analogue on the flattened (x, g) grid
-    flat_c = c.reshape(-1)
-    flat_m = means.reshape(-1)
-    raw_flat = raw.reshape(nx * L, nx * L)
-    sigma = np.outer(flat_c, flat_c) * (raw_flat - np.outer(flat_m, flat_m)) / h
+    # covariance of the Gaussian analogue on the grid
+    sigma = np.outer(c, c) * (raw - np.outer(means, means)) / h
     cov = CovarianceModel.from_matrix(sigma)
 
-    scale = flat_c / math.sqrt(h)
+    scale = c / math.sqrt(h)
     family = scn.family
 
     def evaluate(batch):
         g, x = family.g_values(batch)
-        u = (x[:, None] - xg[None, :]) / h
-        kv = kern(u)  # (n, nx)
-        prod = kv[:, :, None] * g[:, None, :]  # (n, nx, L)
-        return (prod.reshape(x.size, -1) - flat_m[None, :]) * scale[None, :]
+        return (kern((x[:, None] - xg[None, :]) / h) * g[:, None] - means) * scale
 
     if not isinstance(kern, Epanechnikov):
         column_sums = None  # sum_columns takes the dense path
@@ -445,14 +396,13 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         def column_sums(batch):
             g, x = family.g_values(batch)
             p = panel_of(x)
-            cell = p if L == 1 else (p[:, None] * L + np.arange(L)).ravel()
-            u = ((x - mid[p]) / h)[:, None]
+            u = (x - mid[p]) / h
             gu = g * u
-            M = [np.bincount(cell, gk.ravel(), mid.size * L).reshape(-1, L) for gk in (g, gu, gu * u)]
+            M = [np.bincount(p, gk, mid.size) for gk in (g, gu, gu * u)]
             out = 0.75 * sum(a @ m for a, m in zip(A, M))
-            return (out.reshape(-1) - x.size * flat_m) * scale
+            return (out - x.size * means) * scale
 
-    cls = DiscretizedClass(evaluate=evaluate, size=nx * L, centered=True, column_sums=column_sums)
+    cls = DiscretizedClass(evaluate=evaluate, size=xg.size, centered=True, column_sums=column_sums)
     return KernelDesign(
         scenario=scn, n=n, h=h, means=means, variances=variances, c=c, cls=cls, cov=cov, sampler=family.sample
     )

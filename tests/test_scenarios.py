@@ -19,7 +19,6 @@ from supgauss.scenarios import (
     BASES,
     DATA_LAWS,
     BetaLaw,
-    CondCdfFamily,
     DensityFamily,
     Epanechnikov,
     GaussianKernel,
@@ -95,11 +94,11 @@ class TestKernelDesign:
             m = np.trapezoid(kv * p, t)
             s2 = np.trapezoid(kv * kv * p, t)
             var = (s2 - m * m) / h
-            assert d.variances[j, 0] == pytest.approx(var, abs=1e-4)
+            assert d.variances[j] == pytest.approx(var, abs=1e-4)
             # small-h limit p(x) int k^2; the leading error is the
             # mean-centering term h p(x)^2 plus an O(h^2) smoothing bias
             px = law.density(np.array([x]))[0]
-            assert abs(d.variances[j, 0] - px * EPA_L2) <= 1.05 * h * px**2 + 0.1 * h
+            assert abs(d.variances[j] - px * EPA_L2) <= 1.05 * h * px**2 + 0.1 * h
 
     def test_full_covariance_against_adaptive_quadrature(self):
         # every entry, off-diagonal cross moments included, of an Epanechnikov
@@ -376,6 +375,19 @@ class TestSeriesFactor:
         assert np.abs(d.cov.sigma - L @ L.T).max() <= bound
 
 
+def _kernel_family_scenario(family):
+    return KernelScenario(
+        kernel=Epanechnikov(), bandwidth_rule=lambda n: float(n) ** -0.2,
+        x_grid=np.linspace(0.1, 0.9, 16), family=family,
+    )
+
+
+def _regression_kernel_scenario():
+    return _kernel_family_scenario(RegressionFamily(
+        x_law=BetaLaw(), mean_fn=lambda x: np.sin(4.0 * np.asarray(x)), sd_fn=lambda x: 0.5 + np.asarray(x),
+    ))
+
+
 def _quantile_scenario():
     return SeriesScenario(
         basis="legendre", K_rule=lambda n: 4,
@@ -388,7 +400,9 @@ SURFACE_SCENARIOS = {
     "gaussian_kernel": lambda: kernel_density_scenario(kernel="gaussian", grid_points=12),
     "series_mean": lambda: series_mean_scenario(grid_points=12),
     "series_quantile": _quantile_scenario,
+    "kernel_regression": _regression_kernel_scenario,
 }
+KERNEL_SURFACE = sorted(name for name, make in SURFACE_SCENARIOS.items() if isinstance(make(), KernelScenario))
 
 
 class TestDesignSurface:
@@ -408,6 +422,17 @@ class TestDesignSurface:
         values = d.cls.evaluate(batch)
         assert values.shape == (400, size)
         np.testing.assert_allclose(d.cls.sum_columns(batch), values.sum(axis=0), rtol=1e-9, atol=1e-9)
+        # every surface design is studentized: kernel columns by c, series columns by the norm of alpha
+        np.testing.assert_allclose(np.diag(d.cov.sigma), 1.0, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", KERNEL_SURFACE)
+    def test_kernel_design_has_one_column_per_grid_point(self, name):
+        """Each kernel family has a single g: the columns are the grid points, and the moments are (nx,)."""
+        scn = SURFACE_SCENARIOS[name]()
+        d = design(scn, 400)
+        x_grid = np.asarray(scn.x_grid, dtype=float)
+        assert d.index_grid.tobytes() == x_grid.tobytes()
+        assert d.means.shape == d.variances.shape == d.c.shape == (x_grid.size,)
 
     def test_rejects_other_objects(self):
         with pytest.raises(TypeError, match="KernelScenario or SeriesScenario"):
@@ -416,26 +441,6 @@ class TestDesignSurface:
     def test_quantile_index_grid_repeats_each_x_per_level(self):
         d = design(_quantile_scenario(), 200)
         np.testing.assert_array_equal(d.index_grid, np.repeat(np.linspace(0, 1, 6), 3))
-
-
-def _kernel_family_scenario(family):
-    return KernelScenario(
-        kernel=Epanechnikov(), bandwidth_rule=lambda n: float(n) ** -0.2,
-        x_grid=np.linspace(0.1, 0.9, 16), family=family,
-    )
-
-
-def _regression_kernel_scenario():
-    return _kernel_family_scenario(RegressionFamily(
-        x_law=BetaLaw(), mean_fn=lambda x: np.sin(4.0 * np.asarray(x)), sd_fn=lambda x: 0.5 + np.asarray(x),
-    ))
-
-
-def _cond_cdf_kernel_scenario():
-    return _kernel_family_scenario(CondCdfFamily(
-        x_law=BetaLaw(), mean_fn=lambda x: np.asarray(x, dtype=float), sd_fn=lambda x: 0.5 + 0.0 * np.asarray(x),
-        y_grid=np.linspace(-0.5, 1.5, 5),
-    ))
 
 
 # grid spacing 2h, all dyadic: x_j + h == x_{j+1} - h exactly, so the design must merge duplicate window edges
@@ -452,7 +457,6 @@ LEVELS = {"mean": None, "quantile": (0.25, 0.5, 0.75)}
 FAST_PATH_SCENARIOS = {
     "kernel_density": lambda: kernel_density_scenario(grid_points=16),
     "kernel_regression": _regression_kernel_scenario,
-    "kernel_cond_cdf": _cond_cdf_kernel_scenario,
     "kernel_touching_windows": _touching_windows_scenario,
     **{
         f"{basis}_{noise}": (lambda basis=basis, noise=noise: SeriesScenario(
@@ -582,10 +586,6 @@ MOMENT_FAMILIES = {
     "density_beta_0.7_1.5": lambda: DensityFamily(BetaLaw(0.7, 1.5)),
     "density_truncnorm": lambda: DensityFamily(TruncNorm()),
     "regression": lambda: _regression_kernel_scenario().family,
-    "cond_cdf_L3": lambda: CondCdfFamily(
-        x_law=BetaLaw(), mean_fn=lambda x: np.asarray(x, dtype=float), sd_fn=lambda x: 0.5 + 0.0 * np.asarray(x),
-        y_grid=np.linspace(-0.5, 1.5, 3),
-    ),
 }
 
 
@@ -702,7 +702,7 @@ class TestRateExperiment:
         ks, conf = ks_distance(emp, gau)
         # third absolute moment of the studentized summand by quadrature
         t = np.linspace(0, 1, 100_001)
-        f = d.c[0, 0] * d.h**-0.5 * (scn.kernel((t - 0.5) / d.h) - d.means[0, 0])
+        f = d.c[0] * d.h**-0.5 * (scn.kernel((t - 0.5) / d.h) - d.means[0])
         rho = np.trapezoid(np.abs(f) ** 3 * scn.family.x_law.density(t), t)
         berry_esseen = 0.4748 * rho / math.sqrt(n)
         assert ks <= conf + berry_esseen
@@ -733,12 +733,12 @@ class TestRegressionFamily:
         )
         d = design_kernel(scn, 100)
         # E[Y k_h] = int 2 t k((t - 0.5)/h) dt = 2 * 0.5 * h = h for symmetric kernels
-        assert d.means[0, 0] == pytest.approx(d.h, rel=1e-10)
+        assert d.means[0] == pytest.approx(d.h, rel=1e-10)
         # E[Y^2 k^2] - m^2 over h: integrand (4 t^2 + 0.25) k^2(u)
         t = np.linspace(0.4, 0.6, 200_001)
         kv = Epanechnikov()((t - 0.5) / 0.05)
         s2 = np.trapezoid((4 * t**2 + 0.25) * kv * kv, t)
-        assert d.variances[0, 0] == pytest.approx((s2 - d.h**2) / d.h, rel=1e-6)
+        assert d.variances[0] == pytest.approx((s2 - d.h**2) / d.h, rel=1e-6)
 
     def test_sampling_matches_design_moments(self):
         from supgauss.scenarios import RegressionFamily
@@ -749,60 +749,6 @@ class TestRegressionFamily:
         y, x = fam.sample(RngPolicy(8).stream_of(0), 200_000)
         assert abs(np.mean(y - x)) <= 3.0 / math.sqrt(200_000)
         assert np.var(y - x) == pytest.approx(1.0, rel=0.02)
-
-
-class TestCondCdfFamily:
-    def test_cross_moments_consistency(self):
-        from supgauss.scenarios import CondCdfFamily
-
-        fam = CondCdfFamily(
-            x_law=Uniform01(), mean_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sd_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)), y_grid=np.array([-0.5, 0.5]),
-        )
-        t = np.array([0.3])
-        gm = fam.g_mean(t)
-        gc = fam.g_cross(t)
-        from scipy.stats import norm
-
-        np.testing.assert_allclose(gm[0], [norm.cdf(-0.5), norm.cdf(0.5)], atol=1e-12)
-        # E[1(Y<=y1) 1(Y<=y2)] = F(min(y1, y2))
-        assert gc[0, 0, 1] == pytest.approx(norm.cdf(-0.5))
-        assert gc[0, 1, 1] == pytest.approx(norm.cdf(0.5))
-
-    def test_moments_equal_per_level_loop(self):
-        from scipy.special import ndtr
-
-        from supgauss.scenarios import CondCdfFamily
-
-        y = np.array([-1.0, -0.2, 0.4, 1.5])
-        fam = CondCdfFamily(
-            x_law=Uniform01(), mean_fn=lambda x: np.sin(3.0 * np.asarray(x)),
-            sd_fn=lambda x: 0.5 + np.asarray(x), y_grid=y,
-        )
-        t = np.linspace(0.0, 1.0, 7)
-        m, s = np.sin(3.0 * t), 0.5 + t
-        gm, gc = fam.g_mean(t), fam.g_cross(t)
-        for l in range(y.size):
-            np.testing.assert_array_equal(gm[:, l], ndtr((y[l] - m) / s))
-            for k in range(y.size):
-                np.testing.assert_array_equal(gc[:, l, k], ndtr((min(y[l], y[k]) - m) / s))
-
-    def test_kernel_class_with_cdf_family_builds(self):
-        from supgauss.scenarios import CondCdfFamily
-
-        fam = CondCdfFamily(
-            x_law=Uniform01(), mean_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sd_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)), y_grid=np.array([0.0, 1.0]),
-        )
-        scn = KernelScenario(
-            kernel=Epanechnikov(), bandwidth_rule=lambda n: 0.2,
-            x_grid=np.linspace(0.3, 0.7, 4), family=fam, normalization="studentized",
-        )
-        d = design_kernel(scn, 200)
-        assert d.cls.size == 8
-        np.testing.assert_allclose(np.diag(d.cov.sigma), 1.0, atol=1e-8)
-        batch = fam.sample(RngPolicy(10).stream_of(0), 50)
-        assert d.cls.evaluate(batch).shape == (50, 8)
 
 
 BAND = dict(x_grid=np.zeros(2), estimate=np.zeros(2), sigma_n=np.ones(2), c_alpha=1.0, side="two_sided", alpha=0.05)
