@@ -8,7 +8,7 @@ scenarios, including undersmoothed uniform confidence bands.
 
 import importlib
 
-from .bands import BandResult, CoverageReport, build_band, coverage_experiment, critical_value
+from .bands import BandResult, CoverageReport, build_band, coverage_experiment
 from .funcclass import (
     DiscreteMeasure,
     DiscretizedClass,

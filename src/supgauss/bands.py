@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenarios import design, design_kernel  # noqa: F401  (the benchmark tracer patches bands.design_kernel)
-from .simulate import RngPolicy, SupSample, empirical_job, gaussian_job, sample_jobs, sup_quantile
+from .simulate import RngPolicy, empirical_job, gaussian_job, sample_jobs, sup_quantile
 from .simulate import gaussian_sup_sample  # noqa: F401  (unused here; the benchmark tracer patches this name)
 
 
@@ -54,11 +54,6 @@ class CoverageReport:
     @property
     def binomial_se(self) -> float:
         return math.sqrt(self.empirical * (1.0 - self.empirical) / self.replications)
-
-
-def critical_value(gauss: SupSample, alpha: float) -> float:
-    """(1-alpha)-quantile of the Gaussian-analogue supremum sample."""
-    return sup_quantile(gauss, alpha)
 
 
 def build_band(estimate, sigma_n, c_alpha: float, side: str = "two_sided", x_grid=None, alpha: float = float("nan")) -> BandResult:
@@ -121,7 +116,7 @@ def coverage_experiment(
         gaussian_job(d.cov, R_inner, rng.with_salt(rng.salt + 101), absolute=absolute, statistic_id="band_gauss"),
         empirical_job(d.cls, d.sampler, n, R_outer, rng, absolute=absolute),
     ], threads)
-    c_alpha = critical_value(gauss, alpha)
+    c_alpha = sup_quantile(gauss, alpha)
     report = CoverageReport(
         nominal=1.0 - alpha,
         empirical=int(np.count_nonzero(emp.values <= c_alpha)) / R_outer,  # a float: summary.txt writes its repr

@@ -91,6 +91,13 @@ class CouplingBudget:
         return out
 
 
+def _finite(quantities: dict, n) -> None:
+    """Raise OverflowError naming the first quantity that float multiplication or addition carried to inf at n."""
+    for name, value in quantities.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} overflows a float at n = {n:.6g}")
+
+
 def coupling_budget(
     inputs: MomentInputs,
     epsilon: float,
@@ -134,12 +141,14 @@ def coupling_budget(
     tail_arg = c_const * gamma ** (-1.0 / 3.0) * n ** (1.0 / 3.0) * H ** (-1.0 / 3.0)
     delta_n_tail = 0.25 * float(inputs.tail_fn(tail_arg))
     prob_raw = gamma * (1.0 + delta_n_tail) + C_log * math.log(n) / n
-    return CouplingBudget(
+    budget = CouplingBudget(
         terms=terms,
         delta_n_tail=delta_n_tail,
         prob_bound_raw=prob_raw,
         constants_used={"K_q": K_q, "c_const": c_const, "C_log": C_log},
     )
+    _finite({**terms, "delta_n": budget.delta_n, "threshold": budget.threshold, "prob_bound_raw": prob_raw}, n)
+    return budget
 
 
 @dataclass(frozen=True)
@@ -197,12 +206,14 @@ def vc_class_budget(
         "variance_term": variance_scale ** (1.0 / 3.0) / (gamma ** (1.0 / 3.0) * n ** (1.0 / 6.0)),
     }
     prob_raw = gamma + math.log(n) / n
-    return VcBudget(
+    budget = VcBudget(
         terms=terms,
         K_n=K_n,
         prob_bound_raw=prob_raw,
         constants_used={"c_const": c_const},
     )
+    _finite({"K_n": K_n, **terms, "total": budget.total, "prob_bound_raw": prob_raw}, n)
+    return budget
 
 
 @dataclass(frozen=True)

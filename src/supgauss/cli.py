@@ -26,10 +26,12 @@ from .simulate import CovarianceError, RngPolicy, WorkerError, gaussian_sup_samp
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run; its fields are the top-level config keys and their defaults."""
+
     subcommand: str
-    seed: int
-    threads: int
-    output_dir: str
+    seed: int = 0
+    threads: int = 1
+    output_dir: str = "out"
     scenario: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
@@ -61,7 +63,6 @@ FLAGS = {"seed": "--seed", "threads": "--threads", "output_dir": "--output"}
 def validate(config_text: str, overrides: dict | None = None):
     """Parse a JSON config, apply the flag ``overrides`` (config key -> value) and validate the result;
     returns (RunConfig | None, [ConfigError]).  An overridden value's error is anchored at its flag."""
-    errors: list[ConfigError] = []
     overrides = overrides or {}
     try:
         raw = json.loads(config_text)
@@ -70,54 +71,28 @@ def validate(config_text: str, overrides: dict | None = None):
     if not isinstance(raw, dict):
         return None, [ConfigError(path="<root>", message="config must be a JSON object")]
     raw = {**raw, **overrides}
-
-    def err(path, message):
-        if path in overrides:
-            errors.append(ConfigError(path=FLAGS[path], message=message))
-        else:
-            errors.append(ConfigError(path=path, message=message, line=_line_of(config_text, path)))
-
-    for path, message in _unknown_keys(raw, _keyword_defaults(RunConfig), "", "a config"):
-        err(path, message)
-    sub = raw.get("subcommand")
-    if sub not in SUBCOMMANDS:
-        err("subcommand", f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}")
-    seed = raw.get("seed", 0)
-    if not (_int_from(0)(seed) and seed < 2**64):
-        err("seed", "seed must be an integer in [0, 2^64)")
-    threads = raw.get("threads", 1)
-    if not _int_from(1)(threads):
-        err("threads", "threads must be a positive integer")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        err("output_dir", "output_dir must be a string")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        err("params", "params must be an object")
-        params = {}
-    scenario = raw.get("scenario", {})
-    if not isinstance(scenario, dict):
-        err("scenario", "scenario must be an object")
-        scenario = {}
-
-    problems = _unknown_keys(params, _keyword_defaults(RUNNERS[sub]), "params", sub) if sub in SUBCOMMANDS else []
-    for path, message in problems + _rule_problems(params, PARAM_RULES, "params"):
-        err(path, message)
-    if sub == "coupling-bounds":
-        for path, message in _moment_problems(params.get("moments")):
-            err(path, message)
-    if scenario:
-        for path, message in _scenario_problems(scenario, sub):
-            err(path, message)
-
-    if errors:
-        return None, errors
-    return RunConfig(subcommand=sub, seed=seed, threads=threads, output_dir=output_dir, scenario=scenario,
-                     params=params), []
+    problems = _problems(raw, _keyword_defaults(RunConfig), RUN_RULES, "", "a config")
+    sub, params, scenario = raw.get("subcommand"), raw.get("params", {}), raw.get("scenario")
+    if "subcommand" in raw and sub not in SUBCOMMANDS:
+        problems.append(("subcommand", f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}"))
+    if sub in SUBCOMMANDS and isinstance(params, dict):
+        problems += _problems(params, _keyword_defaults(RUNNERS[sub]), PARAM_RULES, "params", sub)
+        if sub == "coupling-bounds" and isinstance(params.get("moments"), dict):
+            problems += _moment_problems(params["moments"])
+    if scenario and isinstance(scenario, dict):
+        problems += _scenario_problems(scenario, sub)
+    if problems:
+        return None, [ConfigError(path=FLAGS[path], message=message) if path in overrides
+                      else ConfigError(path=path, message=message, line=_line_of(config_text, path))
+                      for path, message in problems]
+    return RunConfig(**raw), []
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer past the largest float
+        return False
 
 
 def _int_from(lo: int):
@@ -133,6 +108,11 @@ _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
 _NUMBER = (_is_number, "a finite number")
 _N = (_int_from(3), "an integer >= 3 (the coupling constructions assume n >= 3)")
 _COUNT = (_int_from(1), "a positive integer")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+
+# rules of the top-level keys; which keys a config takes, and their defaults, are RunConfig's fields
+RUN_RULES = {"seed": (lambda v: _int_from(0)(v) and v < 2**64, "an integer in [0, 2^64)"), "threads": _COUNT,
+             "output_dir": (lambda v: isinstance(v, str), "a string"), "params": _OBJECT, "scenario": _OBJECT}
 
 # rules of the params keys; which keys a subcommand takes is its runner's signature
 PARAM_RULES = {
@@ -151,13 +131,22 @@ PARAM_RULES = {
                and all(b > a for a, b in zip(v, v[1:])), "a strictly increasing list of 3 to 16384 "
                "integers n >= 3 (the coupling constructions assume n >= 3)"),
     "side": _one_of(("two_sided", "one_sided_lower")),
+    "moments": (lambda v: isinstance(v, dict), "an object with at least sigma, b and q"),
 }
+# rules of the moments keys; which keys it takes, and their defaults, are _moment_inputs's signature
 MOMENT_RULES = {"sigma": _NONNEGATIVE, "b": _POSITIVE, "q": (lambda v: _is_number(v) and v >= 3, "a number >= 3"),
                 "M2": _NONNEGATIVE, "Mq": _NONNEGATIVE, "kappa": _POSITIVE, "EG_FF": _NONNEGATIVE,
-                "A": _POSITIVE, "v": _POSITIVE}
-# profile -> type -> rules of its (required) fields
-PROFILE_RULES = {"H": {"constant": {"value": _NUMBER}, "vc": {"A": _POSITIVE, "v": _NONNEGATIVE}},
-                 "tail": {"zero": {}, "bounded": {"ratio": _NUMBER}}}
+                "A": _POSITIVE, "v": _POSITIVE, "phi": _OBJECT}
+# profile -> type -> (rules of its fields, each required; the profile it builds from n and them).  phi has no
+# type: its one optional field is the constant modulus
+PHI = lambda value=0.0: lambda eps, phi=float(value): phi
+PROFILES = {
+    "H": {"constant": ({"value": _NUMBER}, lambda n, value: lambda eps, h=max(float(value), math.log(n)): h),
+          "vc": ({"A": _POSITIVE, "v": _NONNEGATIVE},
+                 lambda n, A, v: lambda eps: max(math.log(n), float(v) * math.log(float(A) / eps)))},
+    "tail": {"zero": ({}, lambda n: lambda u: 0.0),  # the tail P[(F / kappa)^3 1(F / kappa > u)], F constant
+             "bounded": ({"ratio": _NUMBER}, lambda n, ratio: lambda u, r=float(ratio): r**3 if r > u else 0.0)},
+}
 
 
 # rules of the scenario keys; which keys a scenario type takes is its factory's signature
@@ -167,45 +156,44 @@ SCENARIO_RULES = {
     "bandwidth_power": _NUMBER, "k_power": _NUMBER, "grid_points": _COUNT, "grid_lo": _NUMBER, "grid_hi": _NUMBER,
     "tau_grid": (lambda v: isinstance(v, list) and v and all(_is_number(t) and 0 < t < 1 for t in v),
                  "a nonempty list of levels strictly between 0 and 1"),
-    "law_params": (lambda v: isinstance(v, dict), "an object"),
+    "law_params": _OBJECT,
 }
 LAW_RULES = {"a": _POSITIVE, "b": _POSITIVE, "sd": _POSITIVE, "mu": _NUMBER, "lo": _NUMBER, "hi": _NUMBER}
 
 
-def _rule_problems(obj: dict, rules: dict, prefix: str, required=()) -> list[tuple[str, str]]:
-    """(path, message) for each key of obj that breaks its rule or is required and missing."""
-    problems = [(f"{prefix}.{key}", f"{key} is required") for key in required if key not in obj]
-    return problems + [(f"{prefix}.{key}", f"{key} must be {what}")
-                       for key, (ok, what) in rules.items() if key in obj and not ok(obj[key])]
+def _problems(obj: dict, keys: dict, rules: dict, prefix: str, owner: str) -> list[tuple[str, str]]:
+    """(path, message) for each key of obj outside keys (name -> default), each key without a default that obj
+    lacks, and each value of obj that breaks its rule."""
+    at = lambda key: f"{prefix}.{key}" if prefix else key
+    return ([(at(key), f"{owner} takes no key {key!r} (it takes {', '.join(keys) or 'none'})")
+             for key in obj if key not in keys]
+            + [(at(key), f"{key} is required") for key, default in keys.items()
+               if default is inspect.Parameter.empty and key not in obj]
+            + [(at(key), f"{key} must be {what}") for key, (ok, what) in rules.items()
+               if key in obj and not ok(obj[key])])
 
 
-def _moment_problems(m) -> list[tuple[str, str]]:
-    """Type, range and cross-field checks of the coupling-bounds moment inputs."""
-    if not isinstance(m, dict):
-        return [("params.moments", "moments must be an object with at least sigma, b and q")]
-    problems = _unknown_keys(m, (*MOMENT_RULES, *PROFILE_RULES, "phi"), "params.moments", "moments")
-    problems += _rule_problems(m, MOMENT_RULES, "params.moments", required=("sigma", "b", "q"))
-    for key, kinds in PROFILE_RULES.items():
-        if key not in m:
-            continue
-        spec = m[key]
+def _moment_problems(m: dict) -> list[tuple[str, str]]:
+    """Key, value and cross-field checks of the coupling-bounds moment inputs."""
+    problems = _problems(m, _keyword_defaults(_moment_inputs), MOMENT_RULES, "params.moments", "moments")
+    for key in (key for key in PROFILES if key in m):
+        kinds, spec = PROFILES[key], m[key]
         if not isinstance(spec, dict) or spec.get("type") not in tuple(kinds):
             problems.append((f"params.moments.{key}.type", f"{key} must be an object of type {' or '.join(kinds)}"))
         else:
-            rules = kinds[spec["type"]]
-            problems += _unknown_keys(spec, ("type", *rules), f"params.moments.{key}", f"a {spec['type']} {key}")
-            problems += _rule_problems(spec, rules, f"params.moments.{key}", required=tuple(rules))
-    phi = m.get("phi", {})
-    problems += (_unknown_keys(phi, ("value",), "params.moments.phi", "phi")
-                 + _rule_problems(phi, {"value": _NUMBER}, "params.moments.phi") if isinstance(phi, dict)
-                 else [("params.moments.phi", "phi must be an object")])
+            rules = kinds[spec["type"]][0]
+            problems += _problems(spec, {"type": spec["type"], **dict.fromkeys(rules, inspect.Parameter.empty)},
+                                  rules, f"params.moments.{key}", f"a {spec['type']} {key}")
+    if isinstance(m.get("phi"), dict):
+        problems += _problems(m["phi"], _keyword_defaults(PHI), {"value": _NUMBER}, "params.moments.phi", "phi")
     if problems:
         return problems
+    m = {**_keyword_defaults(_moment_inputs), **m}
     if m["sigma"] > m["b"]:
         problems.append(("params.moments.sigma", "sigma cannot exceed the envelope scale b"))
-    if m.get("M2", 0.0) > m.get("Mq", 0.0) + 1e-12:
+    if m["M2"] > m["Mq"] + 1e-12:
         problems.append(("params.moments.M2", "M2 cannot exceed Mq (||M||_2 <= ||M||_q for q >= 2)"))
-    if "A" in m and "v" in m and (m["sigma"] == 0 or m["q"] < 4 or m["A"] * m["b"] / m["sigma"] < math.e):
+    if None not in (m["A"], m["v"]) and (m["sigma"] == 0 or m["q"] < 4 or m["A"] * m["b"] / m["sigma"] < math.e):
         problems.append(("params.moments.A", "the VC-type budget (A and v given) needs sigma > 0, q >= 4 "
                                              "and A b / sigma >= e"))
     return problems
@@ -217,12 +205,12 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
     if stype not in tuple(scn_mod.SCENARIO_TYPES):  # a tuple, so an unhashable type such as a list cannot raise
         return [("scenario.type", f"unknown scenario type {stype!r}; expected one of {', '.join(scn_mod.SCENARIO_TYPES)}")]
     keys = {"type": stype, **_keyword_defaults(scn_mod.SCENARIO_TYPES[stype])}
-    problems = _unknown_keys(scenario, keys, "scenario", stype) + _rule_problems(scenario, SCENARIO_RULES, "scenario")
+    problems = _problems(scenario, keys, SCENARIO_RULES, "scenario", stype)
     spec = {**keys, **scenario}
     if "law_params" in scenario and not problems:
         law = scn_mod.DATA_LAWS[spec["data_law"]]
-        problems = _unknown_keys(spec["law_params"], _keyword_defaults(law), "scenario.law_params", spec["data_law"])
-        problems += _rule_problems(spec["law_params"], LAW_RULES, "scenario.law_params")
+        problems = _problems(spec["law_params"], _keyword_defaults(law), LAW_RULES, "scenario.law_params",
+                             spec["data_law"])
     if problems:
         return problems
     lo, hi = spec["grid_lo"], spec["grid_hi"]
@@ -242,16 +230,11 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
 
 
 def _keyword_defaults(factory) -> dict:
-    """name -> default of each keyword a scenario factory, data law or runner takes: the schema of its config
-    block.  A runner's positional-only parameters (the run config and output directory) are not keys."""
+    """name -> default of each keyword a config block's schema takes: RunConfig, a scenario factory, a data law, a
+    runner or the moments builder.  Positional-only parameters (a runner's run config and output directory, the
+    builder's sample size) are not keys."""
     return {name: p.default for name, p in inspect.signature(factory).parameters.items()
             if p.kind is not p.POSITIONAL_ONLY}
-
-
-def _unknown_keys(obj: dict, known, prefix: str, owner: str) -> list[tuple[str, str]]:
-    """(path, message) for each key of obj outside known."""
-    return [(f"{prefix}.{key}" if prefix else key, f"{owner} takes no key {key!r} (it takes {', '.join(known) or 'none'})")
-            for key in obj if key not in known]
 
 
 def scenario_from_config(spec: dict):
@@ -280,19 +263,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -366,37 +339,16 @@ def _run_smoothmax_check(cfg: RunConfig, outdir: Path, /, draws=20_000, deriv_dr
     return lines, ok
 
 
-def _moment_inputs_from_config(m: dict, n: int):
+def _moment_inputs(n, /, sigma, b, q, M2=0.0, Mq=0.0, kappa=1.0, EG_FF=0.0, A=None, v=None,
+                   H={"type": "constant", "value": 0.0}, tail={"type": "zero"}, phi={}):
+    """The MomentInputs of a validated moments block at sample size n; the signature is the block's schema.  A and v
+    feed only the VC-type budget, and a constant H is raised to log n.  The dict defaults are never mutated."""
     from .bounds import MomentInputs
 
-    hspec = m.get("H", {"type": "constant", "value": math.log(n)})
-    if hspec["type"] == "constant":
-        hval = max(float(hspec["value"]), math.log(n))
-        H = lambda eps: hval
-    else:  # "vc"; validate admits no other type
-        A, v = float(hspec["A"]), float(hspec["v"])
-        H = lambda eps: max(math.log(n), v * math.log(A / eps))
-    phi_val = float(m.get("phi", {}).get("value", 0.0))
-    phi = lambda eps: phi_val
-    tspec = m.get("tail", {"type": "zero"})
-    if tspec["type"] == "zero":
-        tail = lambda u: 0.0
-    else:  # "bounded": F / kappa, constant envelope case
-        ratio = float(tspec["ratio"])
-        tail = lambda u: ratio**3 if ratio > u else 0.0
-    return MomentInputs(
-        n=n,
-        sigma=float(m["sigma"]),
-        b=float(m["b"]),
-        q=float(m["q"]),
-        M2=float(m.get("M2", 0.0)),
-        Mq=float(m.get("Mq", 0.0)),
-        kappa=float(m.get("kappa", 1.0)),
-        EG_FF=float(m.get("EG_FF", 0.0)),
-        H_profile=H,
-        phi_profile=phi,
-        tail_fn=tail,
-    )
+    profile = lambda key, spec: PROFILES[key][spec["type"]][1](n, **{k: x for k, x in spec.items() if k != "type"})
+    return MomentInputs(n=n, sigma=float(sigma), b=float(b), q=float(q), M2=float(M2), Mq=float(Mq),
+                        kappa=float(kappa), EG_FF=float(EG_FF), H_profile=profile("H", H), phi_profile=PHI(**phi),
+                        tail_fn=profile("tail", tail))
 
 
 def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsilon=0.05, gamma=0.1, K_q=1.0,
@@ -405,7 +357,7 @@ def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsil
 
     # float() so that a JSON int such as K_q 1 reaches the report as 1.0, as the defaults do
     gamma, c_const = float(gamma), float(c_const)
-    budget = coupling_budget(_moment_inputs_from_config(moments, n), epsilon=float(epsilon), gamma=gamma,
+    budget = coupling_budget(_moment_inputs(n, **moments), epsilon=float(epsilon), gamma=gamma,
                              K_q=float(K_q), c_const=c_const, C_log=float(C_log))
     report = {"inputs": dict(moments), "n": n, "budget": budget.as_dict()}
     if "A" in moments and "v" in moments:
@@ -484,17 +436,7 @@ def _run_bands(cfg: RunConfig, outdir: Path, /, n=2000, alpha=0.05, R_outer=500,
         ["x", "lower", "upper"],
         zip(band.x_grid, band.lower, band.upper),
     )
-    write_json(
-        outdir / "coverage.json",
-        {
-            "nominal": report.nominal,
-            "empirical": report.empirical,
-            "binomial_se": report.binomial_se,
-            "replications": report.replications,
-            "inner_replications": report.inner_replications,
-            "c_alpha": report.c_alpha,
-        },
-    )
+    write_json(outdir / "coverage.json", {**asdict(report), "binomial_se": report.binomial_se})
     lines = [
         f"nominal coverage {repr(report.nominal)}, empirical {repr(report.empirical)}"
         f" (se {repr(report.binomial_se)}, R_outer {report.replications})",
@@ -514,6 +456,8 @@ def _run_anticoncentration(cfg: RunConfig, outdir: Path, /, n=2000, replications
     for eps in map(float, epsilons):
         lev = levy_concentration(gauss, eps)
         bound = 3.0 * eps * (mean + math.sqrt(max(1.0, math.log(1.0 / eps))))
+        if not math.isfinite(bound):
+            raise OverflowError(f"the anticoncentration bound overflows a float at epsilon = {eps!r}")
         good = lev <= bound
         ok = ok and good
         rows.append((eps, lev, bound, good))

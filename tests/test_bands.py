@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from supgauss import bands
-from supgauss.bands import build_band, coverage_experiment, critical_value
+from supgauss.bands import build_band, coverage_experiment
 from supgauss.scenarios import design, kernel_density_scenario, series_mean_scenario
 from supgauss.simulate import (
     EMP_BLOCK,
@@ -15,6 +15,7 @@ from supgauss.simulate import (
     SupSample,
     empirical_sup_sample,
     gaussian_sup_sample,
+    sup_quantile,
 )
 
 
@@ -22,11 +23,11 @@ class TestCriticalValue:
     def test_absolute_normal_quantile(self):
         cov = CovarianceModel.from_matrix(np.array([[1.0]]))
         gauss = gaussian_sup_sample(cov, R=100_000, rng=RngPolicy(21), absolute=True)
-        assert critical_value(gauss, 0.05) == pytest.approx(1.959964, abs=0.05)
+        assert sup_quantile(gauss, 0.05) == pytest.approx(1.959964, abs=0.05)
 
     def test_monotone_in_alpha(self):
         s = SupSample(RngPolicy(22).stream_of(0).standard_normal(5000), "x", seed=22)
-        assert critical_value(s, 0.01) >= critical_value(s, 0.05) >= critical_value(s, 0.5)
+        assert sup_quantile(s, 0.01) >= sup_quantile(s, 0.05) >= sup_quantile(s, 0.5)
 
 
 class TestBuildBand:
@@ -76,8 +77,8 @@ class TestBuildBand:
         s = SupSample(np.abs(RngPolicy(24).stream_of(0).standard_normal(4000)), "x", seed=24)
         est = np.zeros(4)
         sig = np.ones(4)
-        b05 = build_band(est, sig, critical_value(s, 0.05))
-        b25 = build_band(est, sig, critical_value(s, 0.25))
+        b05 = build_band(est, sig, sup_quantile(s, 0.05))
+        b25 = build_band(est, sig, sup_quantile(s, 0.25))
         assert np.all(b05.lower <= b25.lower) and np.all(b05.upper >= b25.upper)
 
     def test_equivariance_under_scaling(self):

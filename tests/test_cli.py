@@ -396,11 +396,15 @@ class TestClosedFormContract:
             ("coupling-bounds", {"moments": {**MOMENTS, "tail": {"type": "zero", "ratio": 0.5}}},
              "params.moments.tail.ratio"),
             ("coupling-bounds", {"n": 500, "moments": {**MOMENTS, "n": 100000}}, "params.moments.n"),
+            # an integer past the largest float is not a finite number
+            ("coupling-bounds", {"moments": {**MOMENTS, "b": 10**400}}, "params.moments.b"),
+            ("coupling-bounds", {"K_q": -(10**400), "moments": MOMENTS}, "params.K_q"),
         ],
         ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
              "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string", "retired_p_or_N",
              "misspelled_kappa", "misspelled_n_exponents", "crossover_key_under_smoothmax", "misspelled_phi_value",
-             "phi_type", "constant_H_extra_key", "vc_H_value", "zero_tail_ratio", "moments_n"],
+             "phi_type", "constant_H_extra_key", "vc_H_value", "zero_tail_ratio", "moments_n", "int_b_past_float_max",
+             "int_K_q_below_float_min"],
     )
     def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_closed_form(tmp_path, subcommand, params) == 2
@@ -431,14 +435,34 @@ class TestClosedFormContract:
             ("coupling-bounds", {"n": 10**400, "moments": MOMENTS}, "n^-1/2 overflows a float at n = 10^400"),
             ("coupling-bounds", {"moments": {"sigma": 1e200, "b": 1e200, "q": 4, "A": 3.0, "v": 1.0}},
              "b sigma^2 K_n^2 overflows a float at n = 1000, sigma = 1e+200"),
+            # float products overflow to inf without raising: a term or K_n that does is named, not written out
+            ("coupling-bounds", {"moments": {"sigma": 0.5, "b": 1.0, "q": 4, "kappa": 1e308}},
+             "kappa_term overflows a float at n = 1000"),
+            ("coupling-bounds", {"moments": {"sigma": 1.0, "b": 1e308, "q": 4, "A": 3.0, "v": 1.0}},
+             "K_n overflows a float at n = 1000"),
+            ("coupling-bounds", {"K_q": 1e308, "moments": {"sigma": 0.5, "b": 1e10, "q": 4}},
+             "threshold overflows a float at n = 1000"),
+            ("coupling-bounds", {"C_log": 1e308, "moments": MOMENTS}, "prob_bound_raw overflows a float at n = 1000"),
         ],
         ids=["exponent_42", "exponent_45", "exponent_1023", "huge_b", "tiny_b", "huge_delta", "large_delta",
-             "subnormal_B0", "huge_n", "vc_huge_sigma"],
+             "subnormal_B0", "huge_n", "vc_huge_sigma", "huge_kappa", "vc_huge_b", "huge_K_q", "huge_C_log"],
     )
     def test_float_range_failure_exits_3(self, tmp_path, capsys, subcommand, params, message):
         assert run_closed_form(tmp_path, subcommand, params) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert message in (tmp_path / "out" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("epsilon", [1e-320, 1e308], ids=["subnormal", "huge"])
+def test_overflowing_anticoncentration_bound_exits_3(tmp_path, capsys, epsilon):
+    """1 / epsilon overflows at a subnormal epsilon, and 3 epsilon times the mean at a huge one: an inf bound
+    would pass every row."""
+    params = {"n": 500, "replications": 200, "epsilons": [epsilon]}
+    assert run_cli(tmp_path, "anticoncentration", {"type": "kernel_density"}, params) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert f"the anticoncentration bound overflows a float at epsilon = {epsilon!r}" in summary
+    assert not (tmp_path / "out" / "anticoncentration.csv").exists()
 
 
 class TestDeterminism:

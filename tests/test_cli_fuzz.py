@@ -163,8 +163,12 @@ closed_form_configs = st.sampled_from(sorted(closed_form)).flatmap(
 )
 
 
+def reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def run_fuzzed(cfg, threads=1):
-    """Exit code, stderr and output bytes (manifest aside) of one CLI run."""
+    """Exit code, stderr and output bytes (manifest aside) of one CLI run; every JSON file it writes is strict."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         path = Path(tmp) / "cfg.json"
@@ -172,6 +176,8 @@ def run_fuzzed(cfg, threads=1):
         out = Path(tmp) / "out"
         code = main(["--config", str(path), "--output", str(out), "--threads", str(threads)])
         files = {f.name: f.read_bytes() for f in sorted(out.glob("*")) if f.name != "manifest.json"}
+        for f in out.glob("*.json"):  # json.dump writes a non-finite float as Infinity or NaN
+            json.loads(f.read_text(encoding="utf-8"), parse_constant=reject_constant)
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
     return code, stderr.getvalue(), files

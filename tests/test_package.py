@@ -12,7 +12,7 @@ from supgauss import bounds, bands, funcclass, scenarios, simulate, smoothmax
 
 # every name `supgauss` exports, by the module that defines it
 EXPORTS = {
-    bands: ("BandResult", "CoverageReport", "build_band", "coverage_experiment", "critical_value"),
+    bands: ("BandResult", "CoverageReport", "build_band", "coverage_experiment"),
     bounds: ("AnalyticVectorMoments", "CouplingBudget", "MomentInputs", "SteinCouplingTerms", "VcBudget",
              "coupling_budget", "crossover_sweep", "stein_coupling_terms", "vc_class_budget", "yurinskii_bound"),
     funcclass: ("DiscreteMeasure", "DiscretizedClass", "covering_number", "entropy_integral", "exhaustive_min_cover",

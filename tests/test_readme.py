@@ -1,14 +1,17 @@
-"""Every python snippet in README.md runs as written, every JSON config in it validates, and its scenario
-and params key tables match the scenario factories and the subcommand runners."""
+"""Every python snippet in README.md runs as written, every JSON config in it validates, and its key tables
+match the schemas they document: RunConfig, the scenario factories, the subcommand runners and the moments
+builder."""
 
+import dataclasses
 import inspect
 import itertools
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from supgauss.cli import RUNNERS, _keyword_defaults, validate
+from supgauss.cli import RUNNERS, RunConfig, _keyword_defaults, _moment_inputs, validate
 from supgauss.scenarios import SCENARIO_TYPES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,6 +64,29 @@ def test_params_table_matches_the_runners():
     expected = {(sub, name): "required" if default is inspect.Parameter.empty else json_spelling(default)
                 for sub, runner in RUNNERS.items() for name, default in _keyword_defaults(runner).items()}
     assert documented == expected
+
+
+def json_table(header_start: str) -> dict:
+    """key -> default of a README key / default / value table, each default read as JSON ("required": none)."""
+    table = table_at(header_start, "| default")
+    return {row[0]: row[1] if row[1] == "required" else json.loads(row[1]) for row in table[2:]}
+
+
+def test_top_level_table_matches_run_config():
+    """The README's top-level key table lists exactly RunConfig's fields, with their defaults."""
+    def default(f):
+        if f.default_factory is not dataclasses.MISSING:
+            return f.default_factory()
+        return "required" if f.default is dataclasses.MISSING else f.default
+
+    assert json_table("| top-level key") == {f.name: default(f) for f in dataclasses.fields(RunConfig)}
+
+
+def test_moments_table_matches_the_builder():
+    """The README's moments table lists exactly _moment_inputs's keywords, with their defaults."""
+    expected = {name: "required" if default is inspect.Parameter.empty else default
+                for name, default in _keyword_defaults(_moment_inputs).items()}
+    assert json_table("| `moments` key") == expected
 
 
 def test_readme_has_json_configs():
