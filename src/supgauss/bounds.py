@@ -139,7 +139,10 @@ def coupling_budget(
         "kappa_term": n ** (-1.0 / 6.0) * gamma ** (-1.0 / 3.0) * inputs.kappa * H ** (2.0 / 3.0),
     }
     tail_arg = c_const * gamma ** (-1.0 / 3.0) * n ** (1.0 / 3.0) * H ** (-1.0 / 3.0)
-    delta_n_tail = 0.25 * float(inputs.tail_fn(tail_arg))
+    try:
+        delta_n_tail = 0.25 * float(inputs.tail_fn(tail_arg))
+    except OverflowError:  # a power inside the tail profile past the largest float
+        raise OverflowError(f"delta_n_tail overflows a float at n = {n:.6g}") from None
     prob_raw = gamma * (1.0 + delta_n_tail) + C_log * math.log(n) / n
     budget = CouplingBudget(
         terms=terms,
@@ -268,6 +271,8 @@ def stein_coupling_terms(moments: AnalyticVectorMoments, delta: float, n: int, p
         delta2 = delta**2
     except OverflowError:
         raise OverflowError(f"delta^2 overflows a float at delta = {delta!r}") from None
+    if delta2 == 0.0:
+        raise FloatingPointError(f"delta^2 underflows to 0 at delta = {delta!r}")
     prob_cor = c_const * ((B1 + (B2 + B4) * L / delta) * L / delta2 + math.log(n) / n)
     return SteinCouplingTerms(B1=B1, B2=B2, B4=B4, delta=delta, p=p, n=n, prob_raw_cor=prob_cor)
 
@@ -276,7 +281,10 @@ def yurinskii_bound(p: int, delta: float, sum_third_moments: float) -> float:
     """Whole-vector coupling bound B0 (1 + |log(1/B0)| / p), B0 = p delta^{-3} sum E|X_i|^3."""
     if p < 1 or delta <= 0 or sum_third_moments <= 0:
         raise ValueError("inputs must be positive")
-    B0 = p * delta**-3 * sum_third_moments
+    try:
+        B0 = p * delta**-3 * sum_third_moments
+    except OverflowError:  # delta^-3 alone past the largest float
+        B0 = math.inf
     if math.isinf(B0):
         raise OverflowError(f"B0 = p delta^-3 sum E|X_i|^3 overflows a float at delta = {delta!r}")
     if B0 < sys.float_info.min:  # below it 1 / B0 overflows to inf or B0 is 0

@@ -185,7 +185,7 @@ def _moment_problems(m: dict) -> list[tuple[str, str]]:
             problems += _problems(spec, {"type": spec["type"], **dict.fromkeys(rules, inspect.Parameter.empty)},
                                   rules, f"params.moments.{key}", f"a {spec['type']} {key}")
     if isinstance(m.get("phi"), dict):
-        problems += _problems(m["phi"], _keyword_defaults(PHI), {"value": _NUMBER}, "params.moments.phi", "phi")
+        problems += _problems(m["phi"], _keyword_defaults(PHI), {"value": _NONNEGATIVE}, "params.moments.phi", "phi")
     if problems:
         return problems
     m = {**_keyword_defaults(_moment_inputs), **m}

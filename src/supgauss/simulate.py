@@ -9,7 +9,6 @@ a ``Job``; the samples of one experiment run as one schedule (``sample_jobs``).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -92,6 +91,8 @@ class SupSample:
         values = np.sort(np.asarray(self.values, dtype=float))
         if values.size < 1:
             raise ValueError("SupSample requires at least one replication")
+        if any(c in self.statistic_id for c in ",\r\n"):  # to_csv writes it as a bare CSV field
+            raise ValueError(f"statistic_id {self.statistic_id!r} holds a comma or a line break")
         object.__setattr__(self, "values", values)
 
     @property
@@ -176,6 +177,10 @@ class Job:
     rng: RngPolicy
     n: int = 0
 
+    def __post_init__(self):
+        if self.R < 1:
+            raise ValueError(f"a sample needs at least one replication, got R = {self.R}")
+
 
 class WorkerError(RuntimeError):
     """A worker process ended by a signal, exited without a Python exception, or sent short data."""
@@ -195,28 +200,21 @@ class _Block(NamedTuple):
     m: int  # its replications
 
 
-def _parts(jobs: list, ranges: int) -> list[list[_Block]]:
-    """The jobs' blocks cut into at most ``ranges`` parts of about equal estimated work (a block's replications
-    times its job's weight), each part in call order.
+def _parts(blocks: list, ranges: int) -> list[list[_Block]]:
+    """The blocks cut into at most ``ranges`` parts of about equal estimated work (a block's replications times
+    its job's weight), each part in call order.
 
-    The blocks are ordered by their place in their job and cut where the running work is nearest to each
-    i / ranges of the total. Each part so holds about the same share of every job, and the split does not hang
-    on how well the weights compare one job with another: only the blocks next to a cut do.
+    Taken in order of their place in their job, the blocks fill the parts one after another: each goes to the
+    part that holds the midpoint of its work. Each part so holds about the same share of every job, and the split
+    does not hang on how well the weights compare one job with another: only the blocks next to a cut do.
     """
-    starts = itertools.accumulate((job.R for job in jobs), initial=0)
-    blocks = [_Block(job, b, start + b * job.size, min(job.size, job.R - b * job.size))
-              for job, start in zip(jobs, starts) for b in range(-(-job.R // job.size))]
-    order = sorted(range(len(blocks)), key=lambda i: (blocks[i].index * blocks[i].job.size + blocks[i].m / 2)
-                   / blocks[i].job.R)
-    total = list(itertools.accumulate((blocks[i].m * blocks[i].job.weight for i in order), initial=0.0))
-
-    def nearest(target: float) -> int:
-        j = bisect.bisect_left(total, target)
-        return j - 1 if j and target - total[j - 1] <= total[j] - target else j
-
-    inner = {nearest(k * total[-1] / ranges) for k in range(1, ranges)} - {0, len(blocks)}
-    cuts = [0, *sorted(inner), len(blocks)]
-    return [[blocks[i] for i in sorted(order[lo:hi])] for lo, hi in zip(cuts, cuts[1:])]
+    parts, done = [[] for _ in range(ranges)], 0.0
+    total = sum(blk.m * blk.job.weight for blk in blocks)
+    for blk in sorted(blocks, key=lambda blk: (blk.index * blk.job.size + blk.m / 2) / blk.job.R):
+        work = blk.m * blk.job.weight
+        parts[min(int((done + work / 2) * ranges / total), ranges - 1)].append(blk)
+        done += work
+    return [sorted(part, key=lambda blk: blk.offset) for part in parts if part] or parts[:1]
 
 
 def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
@@ -229,9 +227,11 @@ def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
     returns. Which process runs a block never changes its values.
     """
     starts = list(itertools.accumulate((job.R for job in jobs), initial=0))
+    blocks = [_Block(job, b, start + b * job.size, min(job.size, job.R - b * job.size))
+              for job, start in zip(jobs, starts) for b in range(-(-job.R // job.size))]
     out = np.empty(starts[-1])
     forks = hasattr(os, "fork") and sum(job.share for job in jobs) >= 1
-    parts = _parts(jobs, max(1, min(threads if forks else 1, _cpus())))
+    parts = _parts(blocks, max(1, min(threads if forks else 1, _cpus())))
 
     def fill(part: list) -> np.ndarray:
         """Compute the part's blocks into out and return their values in the part's order."""
@@ -244,10 +244,8 @@ def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
         spans = {_fork(children, fill, part): part for part in parts[1:]}
         fill(parts[0])
         for pid, part in spans.items():
-            values, at = np.frombuffer(_collect(children, pid, 8 * sum(blk.m for blk in part))), 0
-            for _, _, offset, m in part:
-                out[offset:offset + m] = values[at:at + m]
-                at += m
+            slots = np.concatenate([np.arange(offset, offset + m) for _, _, offset, m in part])
+            out[slots] = np.frombuffer(_collect(children, pid, 8 * slots.size))
     finally:  # after an error: kill and reap the workers left, closing the pipes no read has taken
         for pid, fd in children.items():
             if fd is not None:
@@ -309,15 +307,15 @@ def _collect(children: dict, pid: int, nbytes: int) -> bytes:
     with open(children[pid], "rb") as fh:
         children[pid] = None
         data = fh.read()
-    status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # -signal if a signal ended it
     del children[pid]
-    if os.WIFSIGNALED(status):
-        raise WorkerError(f"worker process ended by signal {os.WTERMSIG(status)}")
-    if os.WEXITSTATUS(status) != 0:
+    if code < 0:
+        raise WorkerError(f"worker process ended by signal {-code}")
+    if code:
         try:
             exc = pickle.loads(data)
         except Exception:
-            exc = WorkerError(f"worker process exited with status {os.WEXITSTATUS(status)}")
+            exc = WorkerError(f"worker process exited with status {code}")
         raise exc
     if len(data) != nbytes:
         raise WorkerError(f"worker process sent {len(data)} of {nbytes} bytes")
@@ -430,12 +428,8 @@ def quantile_coupling(a: SupSample, b: SupSample, delta: float) -> float:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     xa, xb = a.values, b.values
-    if xa.size == xb.size:
-        paired = xb
-    else:
-        u = (np.arange(xa.size) + 0.5) / xa.size
-        idx = np.minimum((u * xb.size).astype(int), xb.size - 1)
-        paired = xb[idx]
+    u = (np.arange(xa.size) + 0.5) / xa.size  # at equal sizes the pairs are (xa[i], xb[i])
+    paired = xb[np.minimum((u * xb.size).astype(int), xb.size - 1)]
     return float(np.mean(np.abs(xa - paired) > delta))
 
 

@@ -399,12 +399,14 @@ class TestClosedFormContract:
             # an integer past the largest float is not a finite number
             ("coupling-bounds", {"moments": {**MOMENTS, "b": 10**400}}, "params.moments.b"),
             ("coupling-bounds", {"K_q": -(10**400), "moments": MOMENTS}, "params.K_q"),
+            # phi bounds an expected supremum: a negative one would lower delta_n below the other terms
+            ("coupling-bounds", {"moments": {**MOMENTS, "phi": {"value": -5.0}}}, "params.moments.phi.value"),
         ],
         ids=["no_moments", "moments_list", "no_q", "q_2", "gamma_2", "H_type_x", "delta_0", "exponent_1",
              "exponents_string", "beta_string", "exponent_1024", "p_max_0", "draws_string", "retired_p_or_N",
              "misspelled_kappa", "misspelled_n_exponents", "crossover_key_under_smoothmax", "misspelled_phi_value",
              "phi_type", "constant_H_extra_key", "vc_H_value", "zero_tail_ratio", "moments_n", "int_b_past_float_max",
-             "int_K_q_below_float_min"],
+             "int_K_q_below_float_min", "negative_phi"],
     )
     def test_bad_params_exit_2_with_anchor(self, tmp_path, capsys, subcommand, params, anchor):
         assert run_closed_form(tmp_path, subcommand, params) == 2
@@ -443,9 +445,15 @@ class TestClosedFormContract:
             ("coupling-bounds", {"K_q": 1e308, "moments": {"sigma": 0.5, "b": 1e10, "q": 4}},
              "threshold overflows a float at n = 1000"),
             ("coupling-bounds", {"C_log": 1e308, "moments": MOMENTS}, "prob_bound_raw overflows a float at n = 1000"),
+            # powers that raise OverflowError or divide by an underflowed 0 are named too
+            ("coupling-bounds", {"moments": {**MOMENTS, "tail": {"type": "bounded", "ratio": 1e200}}},
+             "delta_n_tail overflows a float at n = 1000"),
+            ("coupling-crossover", {"delta": 1e-120}, "B0 = p delta^-3 sum E|X_i|^3 overflows a float at delta = 1e-120"),
+            ("coupling-crossover", {"delta": 1e-300}, "delta^2 underflows to 0 at delta = 1e-300"),
         ],
         ids=["exponent_42", "exponent_45", "exponent_1023", "huge_b", "tiny_b", "huge_delta", "large_delta",
-             "subnormal_B0", "huge_n", "vc_huge_sigma", "huge_kappa", "vc_huge_b", "huge_K_q", "huge_C_log"],
+             "subnormal_B0", "huge_n", "vc_huge_sigma", "huge_kappa", "vc_huge_b", "huge_K_q", "huge_C_log",
+             "huge_tail_ratio", "tiny_delta", "subnormal_delta"],
     )
     def test_float_range_failure_exits_3(self, tmp_path, capsys, subcommand, params, message):
         assert run_closed_form(tmp_path, subcommand, params) == 3

@@ -1,5 +1,7 @@
 """Monte Carlo engine: RNG streams, samplers, distances, couplings."""
 
+import bisect
+import itertools
 import math
 import os
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from supgauss import simulate
@@ -121,6 +125,12 @@ class TestSupSample:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SupSample(np.array([]), "x", seed=0)
+
+    @pytest.mark.parametrize("statistic_id", ["a,b", "a\nb", "a\rb"], ids=["comma", "newline", "return"])
+    def test_rejects_an_id_its_csv_header_cannot_hold(self, statistic_id):
+        """to_csv writes the id as a bare CSV field: a comma or a line break would not read back."""
+        with pytest.raises(ValueError, match="holds a comma or a line break"):
+            SupSample(np.arange(3.0), statistic_id, seed=0)
 
 
 class TestCovarianceModel:
@@ -249,6 +259,15 @@ def correlated_cov(dim: int = 24) -> CovarianceModel:
     return CovarianceModel.from_matrix(a @ a.T / dim + 0.1 * np.eye(dim))
 
 
+@pytest.mark.parametrize("R", [0, -5])
+def test_builders_reject_fewer_than_one_replication(R):
+    """A sample of no replications fails when its job is built, not after the schedule has run."""
+    with pytest.raises(ValueError, match=f"got R = {R}$"):
+        simulate.empirical_job(centered_uniform_class(), lambda g, n: g.random(n), 50, R, RngPolicy(0))
+    with pytest.raises(ValueError, match=f"got R = {R}$"):
+        simulate.gaussian_job(correlated_cov(), R, RngPolicy(0))
+
+
 class TestBlockLayout:
     """Replications run in fixed blocks; block b draws its replications in turn from stream_of(b)."""
 
@@ -340,6 +359,13 @@ class TestQuantileCoupling:
         b = SupSample(np.array([0.0, 1.5, 2.0]), "b", seed=0)
         assert quantile_coupling(a, b, 0.0) == pytest.approx(1.0 / 3.0)
 
+    def test_unequal_sizes_pair_each_value_with_the_quantile_at_its_midrank(self):
+        """Order statistic i of a pairs with b's quantile at (i + 1/2) / R_a: here 0, 0, 10 and 10."""
+        a = SupSample(np.array([0.0, 1.0, 2.0, 3.0]), "a", seed=0)
+        b = SupSample(np.array([10.0, 0.0]), "b", seed=0)
+        assert quantile_coupling(a, b, 0.5) == 0.75
+        assert quantile_coupling(a, b, 7.5) == 0.25
+
     def test_normal_scale_family(self):
         # monotone coupling of N(0,1) with N(0, 1.2^2): exceedance 2 Phi(-delta/(sigma-1));
         # rank-paired indicators are correlated, so the standard error is
@@ -423,6 +449,73 @@ def job(block_fn, R: int, size: int, weight: float = 1.0) -> simulate.Job:
     return simulate.Job(block_fn, R, size, weight, 1.0, "x", RngPolicy(0))
 
 
+def blocks_of(jobs: list) -> list:
+    """The jobs' blocks in call order, laid out as _run_blocks lays them out."""
+    starts = itertools.accumulate((jb.R for jb in jobs), initial=0)
+    return [simulate._Block(jb, b, start + b * jb.size, min(jb.size, jb.R - b * jb.size))
+            for jb, start in zip(jobs, starts) for b in range(-(-jb.R // jb.size))]
+
+
+def nearest_edge_parts(blocks: list, ranges: int) -> list:
+    """The reference cut: blocks ordered by their place in their job, cut where the running work is nearest to
+    each i / ranges of the total (at the earlier edge on a tie), each part in call order, empty parts dropped."""
+    order = sorted(range(len(blocks)), key=lambda i: (blocks[i].index * blocks[i].job.size + blocks[i].m / 2)
+                   / blocks[i].job.R)
+    total = list(itertools.accumulate((blocks[i].m * blocks[i].job.weight for i in order), initial=0.0))
+
+    def nearest(target: float) -> int:
+        j = bisect.bisect_left(total, target)
+        return j - 1 if j and target - total[j - 1] <= total[j] - target else j
+
+    inner = {nearest(k * total[-1] / ranges) for k in range(1, ranges)} - {0, len(blocks)}
+    cuts = [0, *sorted(inner), len(blocks)]
+    return [[blocks[i] for i in sorted(order[lo:hi])] for lo, hi in zip(cuts, cuts[1:])]
+
+
+# (R, block size, weight) of each sample of a run, in call order: the benchmark's three workloads, criteria 7
+# and 8, the CLI defaults of rate and bands, TestOneSchedulePerRun's rate run and an odd mix
+SCHEDULES = {
+    "kernel-rate": [(100, 8, 2500), (100, 1024, 64), (100, 8, 4000), (100, 1024, 64), (100, 8, 10000),
+                    (100, 1024, 64)],
+    "series-rate": [(80, 8, 2500), (80, 1024, 64), (80, 8, 4000), (80, 1024, 64), (80, 8, 10000), (80, 1024, 64)],
+    "band-calibration": [(12000, 1024, 64), (60, 8, 4000)],
+    "criterion-7": [(5000, 8, 2500), (5000, 1024, 64), (5000, 8, 4000), (5000, 1024, 64), (5000, 8, 10000),
+                    (5000, 1024, 64)],
+    "criterion-8": [(20000, 8, 2500), (20000, 1024, 64), (20000, 8, 4000), (20000, 1024, 64), (20000, 8, 10000),
+                    (20000, 1024, 64)],
+    "rate-default": [(2000, 8, 2500), (2000, 1024, 64), (2000, 8, 4000), (2000, 1024, 64), (2000, 8, 10000),
+                     (2000, 1024, 64)],
+    "bands-default": [(4000, 1024, 64), (500, 8, 4000)],
+    "rate-R120": [(120, 8, 3000), (120, 1024, 64), (120, 8, 3500), (120, 1024, 64), (120, 8, 4000), (120, 1024, 64)],
+    "odd-mix": [(5 * EMP_BLOCK + 3, EMP_BLOCK, 8500), (40, 16, 64), (3 * EMP_BLOCK, EMP_BLOCK, 2500),
+                (1, EMP_BLOCK, 10_000)],
+}
+
+
+def assert_midpoint_parts_match_the_nearest_edge_cut(shapes, ranges):
+    jobs = [job(None, R, size, float(weight)) for R, size, weight in shapes]
+    blocks = blocks_of(jobs)
+    parts = simulate._parts(blocks, ranges)
+    assert parts == nearest_edge_parts(blocks, ranges)
+    assert sorted(blk.offset for part in parts for blk in part) == [blk.offset for blk in blocks]
+
+
+@pytest.mark.parametrize("ranges", [2, 3, 4])
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_parts_equal_the_nearest_edge_cut(name, ranges):
+    """A block goes to the part that holds the midpoint of its work: the cut nearest each i / ranges of the work
+    that the schedule used to make, block for block."""
+    assert_midpoint_parts_match_the_nearest_edge_cut(SCHEDULES[name], ranges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 3000), st.sampled_from([1, 3, EMP_BLOCK, 16, GAUSS_BLOCK]),
+                                 st.integers(1, 20_000)), min_size=1, max_size=6),
+       ranges=st.integers(2, 4))
+def test_parts_equal_the_nearest_edge_cut_on_random_mixes(shapes, ranges):
+    assert_midpoint_parts_match_the_nearest_edge_cut(shapes, ranges)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -446,6 +539,11 @@ def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, bl
     assert len(forks) == (0 if workers is None else workers - 1)
     assert got.tobytes() == gaussian_sup_sample(cov, blocks * GAUSS_BLOCK, RngPolicy(93)).values.tobytes()
     assert_no_child_left()
+
+
+def test_an_empty_schedule_returns_no_samples(monkeypatch):
+    forks = count_forks(monkeypatch)
+    assert simulate.sample_jobs([], threads=2) == [] and forks == []
 
 
 @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
@@ -497,7 +595,7 @@ def test_schedule_puts_every_block_in_exactly_one_part(monkeypatch, forking, wor
               (1, EMP_BLOCK, 10_000.0)]
     jobs = [job(returns_index(j), R, size, weight) for j, (R, size, weight) in enumerate(shapes)]
     number = {id(jb): j for j, jb in enumerate(jobs)}
-    parts = simulate._parts(jobs, workers)
+    parts = simulate._parts(blocks_of(jobs), workers)
     placed = [[(number[id(blk.job)], blk.index) for blk in part] for part in parts]
     assert len(parts) == workers and all(part == sorted(part) for part in placed)
     assert sorted(sum(placed, [])) == [(j, b) for j, (R, size, _) in enumerate(shapes) for b in range(-(-R // size))]
@@ -579,6 +677,11 @@ class TestWorkerFailures:
         with pytest.raises(simulate.WorkerError, match=f"worker process ended by signal {int(signal.SIGKILL)}$") as info:
             self.run(self.in_worker(lambda b: os.kill(os.getpid(), signal.SIGKILL)))
         assert isinstance(info.value, RuntimeError)
+        assert_no_child_left()
+
+    def test_worker_that_exits_without_an_exception(self, forking):
+        with pytest.raises(simulate.WorkerError, match="^worker process exited with status 3$"):
+            self.run(self.in_worker(lambda b: os._exit(3)))
         assert_no_child_left()
 
     def test_worker_that_sends_short_data(self, forking):
