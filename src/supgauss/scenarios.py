@@ -46,7 +46,8 @@ def gauss_legendre_rule(lo: float, hi: float):
     """256-point Gauss-Legendre nodes and weights on [lo, hi]; every quadrature here uses it."""
     x, w = _leggauss()
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    t = half * (x + 1.0)
+    return np.add(t, lo, out=t), half * w
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +106,23 @@ class BetaLaw:
         else:
             from scipy.special import betaln
             log_beta = betaln(self.a, self.b)
-        inside = (t > 0) & (t < 1)
-        out = np.zeros_like(t)
-        tt = np.clip(t, 1e-300, 1 - 1e-16)
+        tt = np.clip(t, 1e-300, 1 - 1e-16)  # every point, in place; the points outside (0, 1) are zeroed at the end
+        out = np.log(tt)
+        np.log1p(np.negative(tt, out=tt), out=tt)
         with np.errstate(over="ignore"):  # huge a, b: the exponent runs to inf, which the covariance check reports
-            out[inside] = np.exp(
-                (self.a - 1) * np.log(tt[inside]) + (self.b - 1) * np.log1p(-tt[inside]) - log_beta
-            )
+            out *= self.a - 1
+            out += np.multiply(tt, self.b - 1, out=tt)
+            out -= log_beta
+            np.exp(out, out=out)
+        out[~((t > 0) & (t < 1))] = 0.0
         return out
 
     def sample(self, gen, n):
         if self.a == self.b == 2:  # the median of three uniforms: P(median <= x) = 3x^2 - 2x^3, exactly Beta(2, 2)
-            a, b, c = gen.random((3, n))
-            return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+            a, b, c = gen.random((3, n))  # in place but for the (n,) result, which frees the (3, n) draw on return
+            lo = np.minimum(a, b)
+            np.minimum(np.maximum(a, b, out=a), c, out=a)
+            return np.maximum(lo, a, out=lo)  # max(min(a, b), min(max(a, b), c))
         return gen.beta(self.a, self.b, size=n)
 
 
@@ -174,8 +179,8 @@ class DensityFamily:
         return self.x_law.sample(gen, n)
 
     def g_values(self, batch):
-        x = np.asarray(batch, dtype=float)
-        return np.ones(x.size), x
+        """(None, x): g = 1 at every point, which the kernel sums count instead of multiplying."""
+        return None, np.asarray(batch, dtype=float)
 
     def g_mean(self, t):
         return np.ones(np.asarray(t).size)
@@ -337,7 +342,7 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
     breaks = _sorted_distinct(np.clip(edges, lo_s, hi_s))
     mid = 0.5 * (breaks[:-1] + breaks[1:])
     t, w = gauss_legendre_rule(breaks[:-1, None], breaks[1:, None])  # (panels, nodes)
-    wd = w * law.density(t)
+    wd = np.multiply(w, law.density(t), out=w)
     gm = scn.family.g_mean(t.ravel()).reshape(t.shape)
     gc = scn.family.g_cross(t.ravel()).reshape(t.shape)
     if isinstance(kern, Epanechnikov):
@@ -346,11 +351,11 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
         d = (mid[None, :] - xg[:, None]) / h
         inside = np.abs(d) < 1.0
         A = np.stack([np.where(inside, 1.0 - d * d, 0.0), np.where(inside, -2.0 * d, 0.0), -inside.astype(float)])
-        u, mu1, mu2 = (t - mid[:, None]) / h, [], []
+        u, mu1, mu2 = (t - mid[:, None]) / h, [], []  # a fresh u: gm may be t itself
         for r in range(5):
             mu1.append(np.einsum("pt,pt->p", wd, gm))
             mu2.append(np.einsum("pt,pt->p", wd, gc))
-            wd = wd * u
+            wd *= u
         means = 0.75 * np.einsum("ajp,ap->j", A, np.stack(mu1[:3]))
         S = np.einsum("ajp,abp->jbp", A, np.stack(mu2)[np.add.outer(np.arange(3), np.arange(3))])
         raw = 0.5625 * np.tensordot(S, A, axes=([1, 2], [0, 2]))  # sum over b, p
@@ -385,22 +390,33 @@ def design_kernel(scn: KernelScenario, n: int) -> KernelDesign:
 
     def evaluate(batch):
         g, x = family.g_values(batch)
-        return (kern((x[:, None] - xg[None, :]) / h) * g[:, None] - means) * scale
+        v = kern((x[:, None] - xg[None, :]) / h)
+        if g is not None:
+            v *= g[:, None]
+        v -= means
+        v *= scale
+        return v
 
     if not isinstance(kern, Epanechnikov):
         column_sums = None  # sum_columns takes the dense path
     else:
-        # every point of a panel lies in the same windows: window sums combine (A) the panel sums of g u^k
+        # every point of a panel lies in the same windows: window sums combine (A) the panel sums of g u^k,
+        # all formed in place; bincount counts g = 1 (None) itself
         panel_of = _panel_lookup(breaks)
 
         def column_sums(batch):
             g, x = family.g_values(batch)
             p = panel_of(x)
-            u = (x - mid[p]) / h
-            gu = g * u
-            M = [np.bincount(p, gk, mid.size) for gk in (g, gu, gu * u)]
-            out = 0.75 * sum(a @ m for a, m in zip(A, M))
-            return (out - x.size * means) * scale
+            u = mid.take(p)
+            u = np.divide(np.subtract(x, u, out=u), h, out=u)
+            gu = u if g is None else g * u
+            out = A[0] @ np.bincount(p, g, mid.size)
+            out += A[1] @ np.bincount(p, gu, mid.size)
+            out += A[2] @ np.bincount(p, np.multiply(gu, u, out=gu), mid.size)
+            out *= 0.75
+            out -= x.size * means
+            out *= scale
+            return out
 
     cls = DiscretizedClass(evaluate=evaluate, size=xg.size, centered=True, column_sums=column_sums)
     return KernelDesign(

@@ -110,7 +110,7 @@ class SupSample:
     @classmethod
     def from_csv(cls, path) -> "SupSample":
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]  # the id's own blanks are kept
         meta = dict(zip(lines[0].split(","), lines[1].split(",")))
         values = np.array([float(v) for v in lines[3:]])
         if values.size != int(meta["R"]):
@@ -323,8 +323,8 @@ def _collect(children: dict, pid: int, nbytes: int) -> bytes:
 
 
 def _sup(z: np.ndarray, absolute: bool) -> np.ndarray:
-    """Row-wise max_j z_j, or max_j |z_j|."""
-    return (np.abs(z) if absolute else z).max(axis=-1)
+    """Row-wise max_j z_j, or max_j |z_j|; |z| overwrites z."""
+    return (np.abs(z, out=z) if absolute else z).max(axis=-1)
 
 
 def sample_jobs(jobs: list, threads: int = 1) -> list[SupSample]:
@@ -354,14 +354,18 @@ def empirical_job(
 
 def gaussian_job(cov: CovarianceModel, R: int, rng: RngPolicy, absolute: bool = False,
                  statistic_id: str = "gaussian_sup") -> Job:
-    """The replications of ``gaussian_sup_sample`` as a job of a schedule."""
+    """The replications of ``gaussian_sup_sample`` as a job of a schedule; its blocks, run one at a time in a
+    process, draw and multiply into one pair of (min(R, GAUSS_BLOCK), dim) arrays and return fresh suprema."""
     LT = cov.factor.T
 
     def block(b: int, m: int) -> np.ndarray:
         # a (m, dim) fill draws the same numbers as m successive standard_normal(dim) calls
-        return _sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ LT, absolute)
+        z = np.matmul(rng.stream_of(b).standard_normal(out=draws[:m]), LT, out=products[:m])
+        return _sup(z, absolute)
 
-    return Job(block, R, GAUSS_BLOCK, cov.dim, R * cov.dim**2 / GAUSS_FORK_WORK, statistic_id, rng)
+    job = Job(block, R, GAUSS_BLOCK, cov.dim, R * cov.dim**2 / GAUSS_FORK_WORK, statistic_id, rng)
+    draws, products = np.empty((2, min(R, GAUSS_BLOCK), cov.dim))  # after Job has rejected R < 1
+    return job
 
 
 def empirical_sup_sample(

@@ -349,6 +349,27 @@ class TestBetaDensity:
         assert BetaLaw(2.5, 1.5).density(t).tobytes() == expected.tobytes()
         assert BetaLaw(2.5, 1.5).density(np.array([-1.0, 0.0, 1.0, 2.0])).tolist() == [0.0] * 4
 
+    @staticmethod
+    def masked_density(law, t):
+        """The density as it was computed before it worked in place: only the points inside (0, 1), gathered."""
+        t = np.asarray(t, dtype=float)
+        log_beta = -math.log(6.0) if law.a == law.b == 2 else betaln(law.a, law.b)
+        inside = (t > 0) & (t < 1)
+        out = np.zeros_like(t)
+        tt = np.clip(t, 1e-300, 1 - 1e-16)
+        with np.errstate(over="ignore"):
+            out[inside] = np.exp((law.a - 1) * np.log(tt[inside]) + (law.b - 1) * np.log1p(-tt[inside]) - log_beta)
+        return out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the points outside the support are evaluated, then zeroed
+    @pytest.mark.parametrize("a, b", [(2, 2), (0.7, 1.5), (5, 3), (1, 1)])
+    def test_in_place_density_equals_the_masked_expression(self, a, b):
+        nodes = 0.5 * (_leggauss()[0] + 1.0)
+        t = np.concatenate([nodes, [0.0, 1.0, 1e-320, 1 - 1e-17, -0.5, 1.5, np.nan]])
+        law = BetaLaw(a, b)
+        assert law.density(t).tobytes() == self.masked_density(law, t).tobytes()
+        assert law.density(nodes.reshape(16, 16)).tobytes() == self.masked_density(law, nodes).tobytes()
+
 
 FACTOR_SCENARIOS = {
     "epanechnikov": kernel_density_scenario,
@@ -441,6 +462,28 @@ class TestDesignSurface:
     def test_quantile_index_grid_repeats_each_x_per_level(self):
         d = design(_quantile_scenario(), 200)
         np.testing.assert_array_equal(d.index_grid, np.repeat(np.linspace(0, 1, 6), 3))
+
+
+READ_ONLY_SCENARIOS = {**SURFACE_SCENARIOS, "series_quantile_fourier": lambda: series_quantile_scenario(grid_points=6)}
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_SCENARIOS))
+def test_hot_paths_write_into_no_batch(name):
+    """column_sums, evaluate and the next draw leave a read-only batch as it was and give what a writable copy
+    gives: the benchmark's tracer calls column_sums and then evaluate on the same draws."""
+    d = design(READ_ONLY_SCENARIOS[name](), 500)
+    gen = RngPolicy(49).stream_of(0)
+    batch = d.sampler(gen, 500)
+    arrays = batch if isinstance(batch, tuple) else (batch,)
+    copies = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    writable = tuple(copies) if isinstance(batch, tuple) else copies[0]
+    for f in (d.cls.column_sums, d.cls.evaluate, d.cls.sum_columns):
+        if f is not None:
+            assert f(batch).tobytes() == f(writable).tobytes()
+    d.sampler(gen, 500)
+    assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays, copies))
 
 
 # grid spacing 2h, all dyadic: x_j + h == x_{j+1} - h exactly, so the design must merge duplicate window edges
@@ -739,6 +782,23 @@ class TestRegressionFamily:
         kv = Epanechnikov()((t - 0.5) / 0.05)
         s2 = np.trapezoid((4 * t**2 + 0.25) * kv * kv, t)
         assert d.variances[0] == pytest.approx((s2 - d.h**2) / d.h, rel=1e-6)
+
+    def test_a_mean_that_returns_its_input_gives_the_moments_of_a_copy(self):
+        """g_mean(t) may be t itself, the same buffer: the design must not write into the nodes it passed."""
+        from supgauss.scenarios import RegressionFamily
+
+        def scenario(mean_fn):
+            fam = RegressionFamily(x_law=Uniform01(), mean_fn=mean_fn, sd_fn=lambda x: np.full(np.shape(x), 0.5))
+            return KernelScenario(kernel=Epanechnikov(), bandwidth_rule=lambda n: 0.05,
+                                  x_grid=np.array([0.3, 0.5, 0.7]), family=fam, normalization="unit")
+
+        same = design_kernel(scenario(lambda x: np.asarray(x, dtype=float)), 100)
+        copy = design_kernel(scenario(lambda x: np.array(x, dtype=float)), 100)
+        # E[Y k_h] = int t k((t - x)/h) dt = x h for symmetric kernels
+        np.testing.assert_allclose(same.means, np.array([0.3, 0.5, 0.7]) * same.h, rtol=1e-10)
+        for name in ("means", "variances"):
+            assert getattr(same, name).tobytes() == getattr(copy, name).tobytes()
+        assert same.cov.sigma.tobytes() == copy.cov.sigma.tobytes()
 
     def test_sampling_matches_design_moments(self):
         from supgauss.scenarios import RegressionFamily

@@ -114,6 +114,19 @@ class TestSupSample:
         assert back.salt == 7
         assert back.n == 100
 
+    @pytest.mark.parametrize("statistic_id", [" a", "\ta", "a "], ids=["leading_space", "leading_tab", "trailing_space"])
+    def test_csv_round_trip_keeps_the_blanks_of_an_id(self, tmp_path, statistic_id):
+        path = tmp_path / "s.csv"
+        SupSample(np.arange(3.0), statistic_id, seed=1).to_csv(path)
+        assert SupSample.from_csv(path).statistic_id == statistic_id
+
+    def test_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        SupSample(np.arange(3.0), "demo", seed=1).to_csv(path)
+        path.write_text("\n" + path.read_text().replace("value\n", "value\n\n \n") + "\n\n")
+        back = SupSample.from_csv(path)
+        assert back.statistic_id == "demo" and back.values.tolist() == [0.0, 1.0, 2.0]
+
     def test_csv_with_fewer_values_than_R_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         SupSample(np.arange(5.0), "demo", seed=42, n=100).to_csv(path)
@@ -261,7 +274,8 @@ def correlated_cov(dim: int = 24) -> CovarianceModel:
 
 @pytest.mark.parametrize("R", [0, -5])
 def test_builders_reject_fewer_than_one_replication(R):
-    """A sample of no replications fails when its job is built, not after the schedule has run."""
+    """A sample of no replications fails when its job is built, not after the schedule has run, and before a
+    Gaussian job allocates its scratch (R = -5 would otherwise fail in numpy with "negative dimensions")."""
     with pytest.raises(ValueError, match=f"got R = {R}$"):
         simulate.empirical_job(centered_uniform_class(), lambda g, n: g.random(n), 50, R, RngPolicy(0))
     with pytest.raises(ValueError, match=f"got R = {R}$"):
@@ -318,6 +332,28 @@ class TestBlockLayout:
         assert first in emp.values
         band_sup = float(np.abs((band.estimate - d.estimator_mean) / d.sigma_hat_sd).max())
         assert band_sup == pytest.approx(first, rel=1e-12)
+
+
+class TestGaussianScratch:
+    """Each Gaussian job draws and multiplies into one pair of arrays; its values are the plain expression's."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_values_equal_the_plain_expression(self, forking, absolute, threads):
+        cov, rng, R = correlated_cov(), RngPolicy(96), 2 * GAUSS_BLOCK + 37
+        plain = [simulate._sup(rng.stream_of(b).standard_normal((m, cov.dim)) @ cov.factor.T, absolute)
+                 for b, m in ((0, GAUSS_BLOCK), (1, GAUSS_BLOCK), (2, 37))]
+        s = gaussian_sup_sample(cov, R, rng, absolute=absolute, threads=threads)
+        assert s.values.tobytes() == np.sort(np.concatenate(plain)).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_jobs_on_one_covariance_give_their_own_samples(self, forking, threads):
+        cov = correlated_cov()
+        specs = [(300, RngPolicy(97), False), (2 * GAUSS_BLOCK + 37, RngPolicy(97, salt=1), True)]
+        both = simulate.sample_jobs([simulate.gaussian_job(cov, R, rng, absolute) for R, rng, absolute in specs],
+                                    threads)
+        for s, (R, rng, absolute) in zip(both, specs):
+            assert s.values.tobytes() == gaussian_sup_sample(cov, R, rng, absolute=absolute).values.tobytes()
 
 
 class TestKsDistance:
