@@ -222,7 +222,7 @@ def _scenario_problems(scenario: dict, sub) -> list[tuple[str, str]]:
     if lo < law.support[0] or hi > law.support[1]:
         problems.append(("scenario.grid_lo", f"the grid [{lo}, {hi}] must lie inside the data support {list(law.support)}"))
     if isinstance(law, scn_mod.TruncNorm):
-        fa, fb = law.cdf_bounds()
+        _, fa, fb = law.cdf_bounds()
         if not fb > fa:  # its mass fb - fa on the support rounds to 0
             problems.append(("scenario.law_params", f"the truncnorm law (mu {law.mu}, sd {law.sd}) has no mass on "
                                                     f"its support {list(law.support)} in floats"))
@@ -363,22 +363,10 @@ def _run_coupling_bounds(cfg: RunConfig, outdir: Path, /, moments, n=1000, epsil
     if "A" in moments and "v" in moments:
         vc = vc_class_budget(n=n, gamma=gamma, c_const=c_const,
                              **{key: float(moments[key]) for key in ("q", "b", "sigma", "A", "v")})
-        report["vc_budget"] = {
-            "terms": vc.terms,
-            "total": vc.total,
-            "K_n": vc.K_n,
-            "prob_bound_raw": vc.prob_bound_raw,
-            "prob_bound": vc.prob_bound,
-        }
+        report["vc_budget"] = {key: getattr(vc, key) for key in ("terms", "total", "K_n", "prob_bound_raw",
+                                                                 "prob_bound")}
     write_json(outdir / "coupling_bounds.json", report)
-    rows = [(k, v) for k, v in budget.terms.items()]
-    rows += [
-        ("delta_n", budget.delta_n),
-        ("delta_n_tail", budget.delta_n_tail),
-        ("threshold", budget.threshold),
-        ("prob_bound_raw", budget.prob_bound_raw),
-        ("prob_bound", budget.prob_bound),
-    ]
+    rows = [(k, v) for k, v in report["budget"].items() if k != "constants_used"]
     write_csv(outdir / "coupling_bounds.csv", ["term", "value"], rows)
     lines = [f"{k} = {_fmt(v)}" for k, v in rows]
     return lines, True

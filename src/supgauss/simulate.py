@@ -30,16 +30,13 @@ _INDEX_MASK = (1 << _SALT_SHIFT) - 1
 # differ in the last bits), so it must not change with the worker count.
 GAUSS_BLOCK = 1024
 EMP_BLOCK = 8
-# Work below which a schedule runs in-process whatever the worker cap, since a fork costs about 5 ms: a sample's
-# share is R * n / EMP_FORK_WORK if empirical, R * dim**2 / GAUSS_FORK_WORK if Gaussian, and a schedule forks when
-# its samples' shares sum to 1 (break-evens measured in README.md).
-EMP_FORK_WORK = 400_000
-GAUSS_FORK_WORK = 100_000_000
-# Fixed cost of an empirical replication in data points, for splitting a schedule's blocks by work: a kernel
-# replication at n points took about 71 us + 0.03 us * n (86 / 137 / 308 us at n = 500 / 2000 / 8000), so it weighs
-# n + 2000 points. A Gaussian one at dim coordinates took about 0.03 us * dim (0.28 / 2.0 / 9.3 us at dim 8 / 64 /
-# 256) and weighs dim points. The weights decide only the blocks next to a cut (see _parts).
+# Fixed cost of an empirical replication in data points: a kernel replication at n points took about 71 us +
+# 0.03 us * n (86 / 137 / 308 us at n = 500 / 2000 / 8000), so it weighs n + 2000 points. A Gaussian one at dim
+# coordinates took about 0.03 us * dim (0.28 / 2.0 / 9.3 us at dim 8 / 64 / 256) and weighs dim points.
 EMP_REP_POINTS = 2_000
+# Work in those points below which a schedule runs in-process whatever the worker cap, since a fork costs about
+# 5 ms: a schedule forks when its samples' R * weight sum to FORK_WORK (break-evens measured in README.md).
+FORK_WORK = 1_200_000
 
 
 class CovarianceError(RuntimeError, ValueError):
@@ -164,15 +161,14 @@ class CovarianceModel:
 class Job:
     """One sample's R replications in blocks of ``size``: block b fills its m replications with block_fn(b, m).
 
-    ``weight`` estimates one replication's cost in points (see EMP_REP_POINTS) and ``share`` the job's part of
-    the work that pays for a fork; ``statistic_id``, ``rng`` and ``n`` label the SupSample its values become.
+    ``weight`` estimates one replication's cost in points (see EMP_REP_POINTS), which decides the fork and the
+    split; ``statistic_id``, ``rng`` and ``n`` label the SupSample its values become.
     """
 
     block_fn: Callable[[int, int], object]
     R: int
     size: int
     weight: float
-    share: float
     statistic_id: str
     rng: RngPolicy
     n: int = 0
@@ -220,7 +216,7 @@ def _parts(blocks: list, ranges: int) -> list[list[_Block]]:
 def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
     """Each job's values: job.block_fn(b, m) for its blocks b of ``job.size`` replications, m in the last one fewer.
 
-    At ``threads > 1``, when the jobs' shares sum to at least 1, the blocks of all jobs are cut into at most
+    At ``threads > 1``, when the jobs' R * weight sum to at least FORK_WORK, the blocks of all jobs are cut into at most
     min(threads, CPUs) parts of about equal work (see _parts). The caller's process runs the first part and
     forks a worker process for each other one, which sends its values back as raw float64 bytes through a pipe;
     the caller writes them into the jobs' arrays. Every worker is reaped, or killed and reaped, before this
@@ -230,7 +226,7 @@ def _run_blocks(jobs: list, threads: int) -> list[np.ndarray]:
     blocks = [_Block(job, b, start + b * job.size, min(job.size, job.R - b * job.size))
               for job, start in zip(jobs, starts) for b in range(-(-job.R // job.size))]
     out = np.empty(starts[-1])
-    forks = hasattr(os, "fork") and sum(job.share for job in jobs) >= 1
+    forks = hasattr(os, "fork") and sum(job.R * job.weight for job in jobs) >= FORK_WORK
     parts = _parts(blocks, max(1, min(threads if forks else 1, _cpus())))
 
     def fill(part: list) -> np.ndarray:
@@ -349,7 +345,7 @@ def empirical_job(
         gen = rng.stream_of(b)
         return [_sup(cls.sum_columns(sampler(gen, n)) / root_n, absolute) for _ in range(m)]
 
-    return Job(block, R, EMP_BLOCK, n + EMP_REP_POINTS, R * n / EMP_FORK_WORK, statistic_id, rng, n)
+    return Job(block, R, EMP_BLOCK, n + EMP_REP_POINTS, statistic_id, rng, n)
 
 
 def gaussian_job(cov: CovarianceModel, R: int, rng: RngPolicy, absolute: bool = False,
@@ -363,7 +359,7 @@ def gaussian_job(cov: CovarianceModel, R: int, rng: RngPolicy, absolute: bool = 
         z = np.matmul(rng.stream_of(b).standard_normal(out=draws[:m]), LT, out=products[:m])
         return _sup(z, absolute)
 
-    job = Job(block, R, GAUSS_BLOCK, cov.dim, R * cov.dim**2 / GAUSS_FORK_WORK, statistic_id, rng)
+    job = Job(block, R, GAUSS_BLOCK, cov.dim, statistic_id, rng)
     draws, products = np.empty((2, min(R, GAUSS_BLOCK), cov.dim))  # after Job has rejected R < 1
     return job
 

@@ -224,6 +224,7 @@ def run_cli(tmp_path, subcommand, scenario, params=None) -> int:
 
 NO_MASS_LAW = {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": 1e6, "sd": 0.1},
                "grid_points": 4}
+NO_MASS_LAW_BELOW = {**NO_MASS_LAW, "law_params": {"mu": -1e6, "sd": 0.1}}  # its mass lies in the lower tail
 
 
 class TestScenarioContract:
@@ -278,6 +279,8 @@ class TestScenarioContract:
                          id="rate_no_data_mass"),
             pytest.param("anticoncentration", NO_MASS_LAW, "scenario.law_params: the truncnorm law",
                          id="anticoncentration_no_data_mass"),
+            pytest.param("rate", NO_MASS_LAW_BELOW, "scenario.law_params: the truncnorm law (mu -1000000.0, sd 0.1)",
+                         id="rate_no_data_mass_below"),
         ],
     )
     def test_bad_scenario_exits_2_with_anchor(self, tmp_path, capsys, subcommand, scenario, anchor):
@@ -646,7 +649,8 @@ forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 simulate._cpus = lambda: 2
 d = scenarios.design(cli.scenario_from_config({"type": "series_mean"}), 500)
-simulate.empirical_sup_sample(d.cls, d.sampler, 500, simulate.EMP_FORK_WORK // 500, simulate.RngPolicy(6), threads=2)
+simulate.empirical_sup_sample(d.cls, d.sampler, 500, -(-simulate.FORK_WORK // (500 + simulate.EMP_REP_POINTS)),
+                              simulate.RngPolicy(6), threads=2)
 seen.append(["forked", len(forks), loaded()])
 print(seen)
 """
@@ -693,10 +697,23 @@ class TestOneSchedulePerRun:
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         return forks
 
+    @pytest.fixture
+    def works(self, monkeypatch) -> list:
+        """Each schedule appends its work: the sum of its jobs' R * weight."""
+        works, run_blocks = [], simulate._run_blocks
+
+        def logged(jobs, threads):
+            works.append(sum(job.R * job.weight for job in jobs))
+            return run_blocks(jobs, threads)
+
+        monkeypatch.setattr(simulate, "_run_blocks", logged)
+        return works
+
     @staticmethod
-    def run_threads(tmp_path, subcommand, params, threads) -> dict:
+    def run_threads(tmp_path, subcommand, params, threads, scenario=None) -> dict:
         path = tmp_path / "cfg.json"
-        cfg = {"subcommand": subcommand, "seed": 6, "scenario": {"type": "kernel_density"}, "params": params}
+        cfg = {"subcommand": subcommand, "seed": 6, "scenario": scenario or {"type": "kernel_density"},
+               "params": params}
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / f"t{threads}"
         assert main(["--config", str(path), "--output", str(out), "--threads", str(threads)]) == 0
@@ -704,18 +721,28 @@ class TestOneSchedulePerRun:
 
     def test_rate_samples_below_their_own_threshold_fork_once_together(self, tmp_path, forks):
         params = {"n_list": [1000, 1500, 2000], "replications": 120}
-        shares = [params["replications"] * n / simulate.EMP_FORK_WORK for n in params["n_list"]]
-        assert max(shares) < 1 <= sum(shares)
+        works = [params["replications"] * (n + simulate.EMP_REP_POINTS) for n in params["n_list"]]
+        assert max(works) < simulate.FORK_WORK <= sum(works)
         serial = self.run_threads(tmp_path, "rate", params, 1)
         assert forks == []
         assert self.run_threads(tmp_path, "rate", params, 2) == serial
         assert forks == [1]
 
-    def test_band_calibration_sizes_fork_nothing(self, tmp_path, forks):
-        """60 outer replications at n = 2000 and 12,000 inner ones at dim 64 weigh 0.3 + 0.49 of a fork."""
+    # the benchmark's `kernel-rate` and `series-rate` configs (bench/workloads.py), and the points they weigh
+    @pytest.mark.parametrize("scenario, replications, work", [
+        ({"type": "kernel_density"}, 100, 1_669_200), ({"type": "series_mean"}, 80, 1_335_360),
+    ], ids=["kernel-rate", "series-rate"])
+    def test_benchmark_rate_configs_fork_once(self, tmp_path, forks, works, scenario, replications, work):
+        params = {"n_list": [500, 2000, 8000], "replications": replications}
+        self.run_threads(tmp_path, "rate", params, 2, scenario)
+        assert (works, forks) == ([work], [1])
+
+    def test_band_calibration_sizes_fork_nothing(self, tmp_path, forks, works):
+        """The benchmark's `band-calibration` config: 60 outer replications at n = 2000 weigh 240,000 points and
+        12,000 inner ones at dim 64 weigh 768,000, below FORK_WORK together."""
         params = {"n": 2000, "alpha": 0.05, "R_outer": 60, "R_inner": 12_000}
-        self.run_threads(tmp_path, "bands", params, 2)
-        assert forks == []
+        self.run_threads(tmp_path, "bands", params, 2, {"type": "kernel_density", "bandwidth_power": 1 / 3})
+        assert (works, forks) == ([1_008_000], [])
 
 
 class TestWorkerFailureExits3:
@@ -723,7 +750,7 @@ class TestWorkerFailureExits3:
 
     @pytest.fixture(autouse=True)
     def forking(self, monkeypatch):
-        monkeypatch.setattr(simulate, "EMP_FORK_WORK", 1)
+        monkeypatch.setattr(simulate, "FORK_WORK", 1)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
 
     @staticmethod
@@ -790,3 +817,27 @@ def test_huge_beta_parameters_exit_3_without_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "covariance has non-finite entries" in summary
+
+
+def test_truncnorm_mean_below_the_support_runs_without_runtime_warning(tmp_path):
+    """mu = -2 lies 8 sd below the support, where the normal cdfs at both ends round to near 1: the law takes its
+    mass in the mirrored frame, its draws stay finite and inside [0, 1], and KS stays within the summed DKW radii."""
+    scenario = {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": -2, "sd": 0.25},
+                "grid_lo": 0.05, "grid_hi": 0.3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "rate", "seed": 3, "scenario": scenario, "params": {"replications": 200}}))
+    proc = run_fresh("-W", "error::RuntimeWarning", "-m", "supgauss.cli", "--config", str(path),
+                     "--output", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [line.split(",") for line in (tmp_path / "out" / "rate.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(float(ks) <= 2 * float(conf) for _, ks, conf, *_ in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu, point", [(-3, 0.9), (4, 0.1)])
+def test_truncnorm_mass_far_from_a_grid_point_exits_3(tmp_path, mu, point):
+    """mu = -3 and its mirror mu = 4 put no density in floats at the far end of the default grid."""
+    scenario = {"type": "kernel_density", "data_law": "truncnorm", "law_params": {"mu": mu, "sd": 0.25}}
+    assert run_cli(tmp_path, "rate", scenario) == 3
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary == f"numerical failure: zero variance at grid point {point}: studentization undefined\n"

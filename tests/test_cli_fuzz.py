@@ -20,7 +20,7 @@ from supgauss.scenarios import SCENARIO_TYPES
 LAW_PARAMS = {
     "uniform": {},
     "beta": {"a": st.floats(1.0, 4.0), "b": st.floats(1.0, 4.0)},
-    "truncnorm": {"mu": st.floats(0.2, 0.8), "sd": st.floats(0.1, 1.0), "lo": st.floats(-0.5, 0.0),
+    "truncnorm": {"mu": st.floats(-1.0, 2.0), "sd": st.floats(0.1, 1.0), "lo": st.floats(-0.5, 0.0),
                   "hi": st.floats(1.0, 1.5)},
 }
 VALID = {

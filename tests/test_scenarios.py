@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate
 from scipy.special import betaln
 
+from supgauss import scenarios
 from supgauss.bands import BandResult
 from supgauss.bounds import vc_class_budget
 from supgauss.funcclass import DiscretizedClass
@@ -29,6 +30,7 @@ from supgauss.scenarios import (
     SeriesScenario,
     TruncNorm,
     Uniform01,
+    _coarsened,
     _leggauss,
     _panel_lookup,
     _sorted_distinct,
@@ -177,6 +179,38 @@ class TestKernelDesign:
         d = design_kernel(scn, 500)
         np.testing.assert_allclose(np.diag(d.cov.sigma), 1.0, atol=1e-6)
         assert d.cls.column_sums is None  # unbounded support: dense path
+
+
+class TestGaussianKernelPanels:
+    """The Gaussian kernel has no edges: its panels run between the edges x_j +/- 8h, joined up to PANEL_SPAN * h,
+    so that each one resolves h."""
+
+    @pytest.mark.parametrize("n", [500, 8000])
+    @pytest.mark.parametrize("power", [0.6, 0.8])
+    def test_means_against_adaptive_quadrature(self, power, n):
+        scn = kernel_density_scenario(kernel="gaussian", bandwidth_power=power)
+        d = design_kernel(scn, n)
+        h, kern, dens = d.h, scn.kernel, scn.family.x_law.density
+
+        def mean(a):
+            f = lambda t: float(kern((t - a) / h) * dens(np.array([t]))[0])
+            lo, hi = max(a - 12 * h, 0.0), min(a + 12 * h, 1.0)
+            return integrate.quad(f, lo, hi, points=[a], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+        np.testing.assert_allclose(d.means, [mean(a) for a in scn.x_grid], rtol=1e-12)
+
+    def test_default_designs_take_the_support_as_one_panel(self, monkeypatch):
+        """At the default bandwidth every edge clips to the support, as when the kernel had no panels."""
+        panels, rule = [], scenarios.gauss_legendre_rule
+        monkeypatch.setattr(scenarios, "gauss_legendre_rule", lambda lo, hi: panels.append(lo.size) or rule(lo, hi))
+        for n in (500, 2000, 8000):
+            design_kernel(kernel_density_scenario(kernel="gaussian"), n)
+        assert panels == [1, 1, 1]
+
+    def test_panels_join_up_to_the_span(self):
+        """Each panel joins the one before it while their union spans at most the span; a longer panel stays."""
+        assert _coarsened(np.array([0.0, 0.1, 0.15, 0.3, 0.9, 1.0]), 0.3).tolist() == [0.0, 0.3, 0.9, 1.0]
+        assert _coarsened(np.array([0.0, 1.0]), 0.3).tolist() == [0.0, 1.0]
 
 
 class TestSeriesDesign:
@@ -369,6 +403,40 @@ class TestBetaDensity:
         law = BetaLaw(a, b)
         assert law.density(t).tobytes() == self.masked_density(law, t).tobytes()
         assert law.density(nodes.reshape(16, 16)).tobytes() == self.masked_density(law, nodes).tobytes()
+
+
+class TestTruncNorm:
+    """A mean below lo takes the mass in the mirrored frame, where both normal cdfs lie in the lower tail; a mean at
+    or above lo keeps the frame and the bits it had."""
+
+    @pytest.mark.parametrize("mu", [-1.5, -2.0, 3.0])
+    def test_density_integrates_to_one(self, mu):
+        law = TruncNorm(mu=mu, sd=0.25)
+        total = integrate.quad(lambda t: float(law.density(t)), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_mean_below_lo_mirrors_the_mean_above_hi(self):
+        t = np.linspace(0.0, 1.0, 257)
+        np.testing.assert_allclose(TruncNorm(mu=-2.0).density(t), TruncNorm(mu=3.0).density(1.0 - t), rtol=1e-12)
+        x = TruncNorm(mu=-2.0).sample(np.random.default_rng(8), 1000)
+        np.testing.assert_allclose(x, 1.0 - TruncNorm(mu=3.0).sample(np.random.default_rng(8), 1000), atol=1e-12)
+
+    def test_draws_below_lo_are_finite_distinct_and_inside(self):
+        x = TruncNorm(mu=-2.0).sample(np.random.default_rng(9), 100_000)
+        assert np.all((x >= 0.0) & (x <= 1.0)) and np.unique(x).size >= 99_000
+
+    @pytest.mark.parametrize("law", [TruncNorm(), TruncNorm(mu=0.3, sd=0.2, lo=-0.5, hi=1.5), TruncNorm(mu=0.0)])
+    def test_mean_at_or_above_lo_keeps_its_bits(self, law):
+        from scipy.special import ndtr, ndtri
+
+        fa, fb = ndtr((law.lo - law.mu) / law.sd), ndtr((law.hi - law.mu) / law.sd)
+        t = np.linspace(law.lo, law.hi, 101)
+        z = (t - law.mu) / law.sd
+        density = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi) / (law.sd * (fb - fa))
+        assert law.density(t).tobytes() == density.tobytes()
+        u = np.random.default_rng(10).random(500)
+        x = law.mu + law.sd * ndtri(fa + u * (fb - fa))
+        assert law.sample(np.random.default_rng(10), 500).tobytes() == x.tobytes()
 
 
 FACTOR_SCENARIOS = {

@@ -1,6 +1,7 @@
 """Monte Carlo engine: RNG streams, samplers, distances, couplings."""
 
 import bisect
+import functools
 import itertools
 import math
 import os
@@ -475,14 +476,13 @@ def count_forks(monkeypatch) -> list:
 @pytest.fixture
 def forking(monkeypatch):
     """Every sample call at threads > 1 forks, on up to four CPUs, whatever its size."""
-    monkeypatch.setattr(simulate, "EMP_FORK_WORK", 1)
-    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.setattr(simulate, "FORK_WORK", 1)
     monkeypatch.setattr(simulate, "_cpus", lambda: 4)
 
 
 def job(block_fn, R: int, size: int, weight: float = 1.0) -> simulate.Job:
-    """A job of R replications in blocks of size, with a share that forks at threads > 1."""
-    return simulate.Job(block_fn, R, size, weight, 1.0, "x", RngPolicy(0))
+    """A job of R replications in blocks of size, each of the given weight."""
+    return simulate.Job(block_fn, R, size, weight, "x", RngPolicy(0))
 
 
 def blocks_of(jobs: list) -> list:
@@ -567,7 +567,7 @@ def test_pool_has_at_most_one_worker_per_block_and_core(monkeypatch, threads, bl
     """The caller runs the first block range and forks one worker per other range: at most one per block and core.
     Where the OS keeps no affinity mask, os.cpu_count() counts the cores, and an unknown count means one."""
     forks = count_forks(monkeypatch)
-    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.setattr(simulate, "FORK_WORK", 1)
     monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
     cov = correlated_cov()
@@ -585,18 +585,20 @@ def test_an_empty_schedule_returns_no_samples(monkeypatch):
 @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
 @pytest.mark.parametrize("kind", ["empirical", "gaussian"])
 def test_calls_below_the_work_threshold_fork_nothing(monkeypatch, kind, below):
-    """The threshold is R n for empirical samples and R dim^2 for Gaussian ones; below it a call stays in-process."""
+    """A call forks when R times its weight, n + EMP_REP_POINTS if empirical and dim if Gaussian, reaches
+    FORK_WORK; below it the call stays in-process."""
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     if kind == "empirical":
         n = 400
-        R = simulate.EMP_FORK_WORK // n - below
-        got = empirical_sup_sample(centered_uniform_class(), lambda g, n: g.random(n), n, R, RngPolicy(94), threads=2)
+        weight = n + simulate.EMP_REP_POINTS
+        sample = functools.partial(empirical_sup_sample, centered_uniform_class(), lambda g, n: g.random(n), n)
     else:
         cov = CovarianceModel.from_matrix(np.eye(50))
-        R = simulate.GAUSS_FORK_WORK // cov.dim**2 - below
-        got = gaussian_sup_sample(cov, R, RngPolicy(94), threads=2)
-    assert got.R == R
+        weight, sample = cov.dim, functools.partial(gaussian_sup_sample, cov)
+    R = simulate.FORK_WORK // weight - below
+    got = sample(R, RngPolicy(94), threads=2)
+    assert simulate.FORK_WORK % weight == 0 and got.R == R  # R = FORK_WORK // weight reaches the threshold exactly
     assert len(forks) == (0 if below else 1)
 
 
@@ -604,7 +606,7 @@ def test_calls_below_the_work_threshold_fork_nothing(monkeypatch, kind, below):
 def test_one_cpu_mask_forks_nothing(monkeypatch):
     """Workers are capped at the CPUs of the affinity mask, not at os.cpu_count()."""
     forks = count_forks(monkeypatch)
-    monkeypatch.setattr(simulate, "GAUSS_FORK_WORK", 1)
+    monkeypatch.setattr(simulate, "FORK_WORK", 1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
@@ -755,7 +757,7 @@ def block(b, m):
     return np.zeros(m)
 
 try:
-    simulate._run_blocks([simulate.Job(block, 32, 8, 1.0, 1.0, "x", simulate.RngPolicy(0))], 2)
+    simulate._run_blocks([simulate.Job(block, 32, 8, simulate.FORK_WORK / 32, "x", simulate.RngPolicy(0))], 2)
 except ValueError:
     sys.stdout.write("caught by " + ("the parent" if os.getpid() == parent else "a worker"))
 """
