@@ -112,7 +112,8 @@ _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 # rules of the top-level keys; which keys a config takes, and their defaults, are RunConfig's fields
 RUN_RULES = {"seed": (lambda v: _int_from(0)(v) and v < 2**64, "an integer in [0, 2^64)"), "threads": _COUNT,
-             "output_dir": (lambda v: isinstance(v, str), "a string"), "params": _OBJECT, "scenario": _OBJECT}
+             "output_dir": (lambda v: isinstance(v, str) and "\0" not in v, "a string without a NUL character"),
+             "params": _OBJECT, "scenario": _OBJECT}
 
 # rules of the params keys; which keys a subcommand takes is its runner's signature
 PARAM_RULES = {
@@ -515,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     flags = {"seed": args.seed, "threads": args.threads, "output_dir": args.output}

@@ -108,7 +108,9 @@ class SupSample:
     def from_csv(cls, path) -> "SupSample":
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]  # the id's own blanks are kept
-        meta = dict(zip(lines[0].split(","), lines[1].split(",")))
+        meta = dict(zip(lines[0].split(","), lines[1].split(","))) if len(lines) > 1 else {}
+        if not {"statistic_id", "seed", "n", "R"} <= meta.keys():
+            raise ValueError(f"{path} is no SupSample CSV: its header lacks statistic_id, seed, n or R")
         values = np.array([float(v) for v in lines[3:]])
         if values.size != int(meta["R"]):
             raise ValueError(f"{path} holds {values.size} values but its header says R = {meta['R']}")
@@ -184,9 +186,7 @@ class WorkerError(RuntimeError):
 
 def _cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS keeps one, else os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _Block(NamedTuple):
@@ -264,7 +264,6 @@ def _fork(children: dict, fill, part: list) -> int:
         code = 1
         try:
             os.close(r)
-            _leave_parent_cpu()
             try:
                 payload, code = fill(part).tobytes(), 0
             except BaseException as exc:
@@ -279,23 +278,6 @@ def _fork(children: dict, fill, part: list) -> int:
     os.close(w)
     children[pid] = r
     return pid
-
-
-def _leave_parent_cpu() -> None:
-    """Move a fresh worker off the CPU it was forked on, which its parent keeps busy, then lift the pin again.
-
-    Linux starts a child on its parent's CPU, and on a 2-vCPU VM the two often shared that CPU for 0.1-0.3 s
-    while the other one idled, longer than most sample calls. Where /proc or the affinity calls are missing,
-    the scheduler places the worker."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39: the CPU this process runs on
-        allowed = os.sched_getaffinity(0)
-        if allowed - {cpu}:
-            os.sched_setaffinity(0, allowed - {cpu})
-            os.sched_setaffinity(0, allowed)
-    except (AttributeError, OSError, ValueError, IndexError):
-        pass
 
 
 def _collect(children: dict, pid: int, nbytes: int) -> bytes:

@@ -477,9 +477,21 @@ def test_overflowing_anticoncentration_bound_exits_3(tmp_path, capsys, epsilon):
 
 
 class TestDeterminism:
-    def _run_twice(self, tmp_path, subcommand, scenario, params, files, threads_second=3):
+    @pytest.fixture
+    def forks(self, monkeypatch) -> list:
+        """Every schedule forks whatever its work or the CPUs of this host, so a run at threads > 1 writes values
+        that worker processes computed."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(simulate.os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(simulate, "FORK_WORK", 1)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        return forks
+
+    @staticmethod
+    def _run_twice(tmp_path, subcommand, scenario, params, files, forks):
+        """The files of a run at threads 1, which forks nothing, and of one at threads 3, which forks two workers."""
         outputs = []
-        for tag, threads in (("a", 1), ("b", threads_second)):
+        for tag, threads, forked in (("a", 1, []), ("b", 3, [1, 1])):
             cfg = {
                 "subcommand": subcommand,
                 "seed": 11,
@@ -492,20 +504,22 @@ class TestDeterminism:
             assert not errors
             assert run(config) == 0
             outputs.append([(Path(cfg["output_dir"]) / name).read_bytes() for name in files])
+            assert forks == forked
         return outputs
 
-    def test_byte_identical_across_thread_caps(self, tmp_path):
+    def test_byte_identical_across_thread_caps(self, tmp_path, forks):
         a, b = self._run_twice(
             tmp_path, "rate", {"type": "kernel_density", "grid_points": 6},
-            {"n_list": [100, 200, 400], "replications": 80}, ["rate.csv", "summary.txt"],
+            {"n_list": [100, 200, 400], "replications": 80}, ["rate.csv", "summary.txt"], forks,
         )
         assert a == b
 
     @pytest.mark.parametrize("stype", ["kernel_density", "series_mean"])
-    def test_bands_byte_identical_across_thread_caps(self, tmp_path, stype):
+    def test_bands_byte_identical_across_thread_caps(self, tmp_path, forks, stype):
         a, b = self._run_twice(
             tmp_path, "bands", {"type": stype, "grid_points": 6},
             {"alpha": 0.2, "n": 200, "R_outer": 90, "R_inner": 300}, ["band.csv", "coverage.json", "summary.txt"],
+            forks,
         )
         assert a == b
 
@@ -610,6 +624,20 @@ class TestMainEntry:
         assert f"{flag}:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'\xff\xfe{"subcommand": "rate"}')
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config: ") and "Traceback" not in err
+
+    def test_output_dir_with_a_nul_exits_2_at_its_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(output_dir="a\u0000b")), encoding="utf-8")
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "output_dir: output_dir must be a string without a NUL character" in err and "Traceback" not in err
 
     def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -136,6 +136,14 @@ class TestSupSample:
         with pytest.raises(ValueError, match="R = 5"):
             SupSample.from_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "statistic_id,seed,salt,n,R\n", "a,b\n1,2\nvalue\n3\n"],
+                             ids=["empty", "header_only", "foreign"])
+    def test_csv_without_its_header_rejected(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="is no SupSample CSV"):
+            SupSample.from_csv(path)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SupSample(np.array([]), "x", seed=0)
